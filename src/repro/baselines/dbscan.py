@@ -17,7 +17,7 @@ from repro.common.points import StreamPoint
 from repro.common.snapshot import Category, Clustering
 from repro.core.events import StrideSummary
 from repro.index.base import NeighborIndex
-from repro.index.registry import resolve_index
+from repro.index.registry import make_index
 
 Coords = tuple[float, ...]
 
@@ -90,7 +90,6 @@ class SlidingDBSCAN:
         index: injected spatial substrate — a registry name, a ready
             :class:`~repro.index.base.NeighborIndex`, or a factory; defaults
             to the R-tree.
-        index_factory: deprecated alias for ``index``.
     """
 
     name = "DBSCAN"
@@ -101,14 +100,11 @@ class SlidingDBSCAN:
         tau: int,
         *,
         index: str | NeighborIndex | Callable[[], NeighborIndex] | None = None,
-        index_factory: Callable[[], NeighborIndex] | None = None,
     ) -> None:
         self.params = ClusteringParams(
             eps, tau, index=index if isinstance(index, str) else None
         )
-        self.index = resolve_index(
-            index, index_factory, eps=eps, owner="SlidingDBSCAN"
-        )
+        self.index = make_index(index, eps=eps)
         self._points: dict[int, Coords] = {}
         self._labels: dict[int, int] = {}
         self._categories: dict[int, Category] = {}

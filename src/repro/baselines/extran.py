@@ -33,7 +33,7 @@ from repro.common.points import StreamPoint
 from repro.common.snapshot import Category, Clustering
 from repro.core.events import StrideSummary
 from repro.index.base import NeighborIndex
-from repro.index.registry import resolve_index
+from repro.index.registry import make_index
 
 Coords = tuple[float, ...]
 
@@ -63,7 +63,6 @@ class ExtraN:
         index: substrate for the single arrival-time range search — a
             registry name, a ready :class:`~repro.index.base.NeighborIndex`,
             or a factory (default R-tree).
-        index_factory: deprecated alias for ``index``.
     """
 
     name = "EXTRA-N"
@@ -75,7 +74,6 @@ class ExtraN:
         spec: WindowSpec,
         *,
         index: str | NeighborIndex | Callable[[], NeighborIndex] | None = None,
-        index_factory: Callable[[], NeighborIndex] | None = None,
     ) -> None:
         if spec.window % spec.stride != 0:
             raise ConfigurationError(
@@ -87,7 +85,7 @@ class ExtraN:
         )
         self.spec = spec
         self._lifetime = spec.strides_per_window  # m sub-windows
-        self.index = resolve_index(index, index_factory, eps=eps, owner="ExtraN")
+        self.index = make_index(index, eps=eps)
         self._records: dict[int, _ExtraNRecord] = {}
         self._slide = 0
         self._labels: dict[int, int] = {}

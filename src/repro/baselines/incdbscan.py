@@ -24,7 +24,7 @@ from repro.common.snapshot import Clustering
 from repro.core.disc import DISC
 from repro.core.events import StrideSummary
 from repro.index.base import NeighborIndex
-from repro.index.registry import resolve_index
+from repro.index.registry import make_index
 
 
 class IncrementalDBSCAN:
@@ -38,7 +38,6 @@ class IncrementalDBSCAN:
         index: spatial-index backend — a registry name, a ready
             :class:`~repro.index.base.NeighborIndex`, or a factory
             (default R-tree).
-        index_factory: deprecated alias for ``index``.
         multi_starter / epoch_probing: reachability-check optimizations,
             granted "in its own favor" as in the paper's evaluation.
     """
@@ -51,19 +50,13 @@ class IncrementalDBSCAN:
         tau: int,
         *,
         index: str | NeighborIndex | Callable[[], NeighborIndex] | None = None,
-        index_factory: Callable[[], NeighborIndex] | None = None,
         multi_starter: bool = True,
         epoch_probing: bool = True,
     ) -> None:
         self._engine = DISC(
             eps,
             tau,
-            index=resolve_index(
-                index,
-                index_factory,
-                eps=eps,
-                owner="IncrementalDBSCAN",
-            ),
+            index=make_index(index, eps=eps),
             multi_starter=multi_starter,
             epoch_probing=epoch_probing,
         )

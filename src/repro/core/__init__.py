@@ -9,7 +9,7 @@ and :mod:`repro.core.disc` ties them together behind the public
 
 from repro.core.disc import DISC
 from repro.core.events import EvolutionEvent, EvolutionKind, StrideSummary
-from repro.core.store import PointStore, RecordMap, RecordView
+from repro.core.store import PointStore
 from repro.core.tracker import ClusterTracker, Lineage
 
 __all__ = [
@@ -19,7 +19,5 @@ __all__ = [
     "EvolutionKind",
     "Lineage",
     "PointStore",
-    "RecordMap",
-    "RecordView",
     "StrideSummary",
 ]

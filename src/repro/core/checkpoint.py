@@ -14,9 +14,9 @@ Format version 3 serializes the :class:`~repro.core.store.PointStore`
 columns directly — one JSON array per column, rows in window insertion
 order, with ``-1`` encoding the ``None`` of ``cid``/``anchor`` and the
 ``flags`` bitfield carrying ``was_core`` (deleted rows never reach a
-checkpoint). Both storage layouts emit the identical v3 payload. Versions 1
-and 2 carried one object per record; they restore byte-identically onto
-either layout (covered by tests/test_checkpoint.py).
+checkpoint). Versions 1 and 2 carried one object per record; they are
+lifted into columns on restore and continue byte-identically (covered by
+tests/test_checkpoint.py).
 
 The durable envelope around these payloads (CRC, atomic writes, rotation)
 lives in :mod:`repro.runtime.store`; this module owns only the logical
@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.common.errors import ReproError
 from repro.core.disc import DISC
-from repro.core.state import PointRecord
 from repro.core.store import DELETED, NO_ID, WAS_CORE
 
 CHECKPOINT_VERSION = 3
@@ -84,38 +83,20 @@ def to_checkpoint(disc: DISC) -> dict:
     checkpoint taken between strides holds live points only.
     """
     state = disc.state
-    arena = state.columnar()
-    if arena is not None:
-        slots = arena.live_slots()
-        if len(slots) and np.any(arena.flags[slots] & DELETED):
-            raise CheckpointError(
-                "checkpoint mid-stride: deleted record still present"
-            )
-        columns = {
-            "pid": arena.pid[slots].tolist(),
-            "coords": arena.coords[slots].tolist(),
-            "time": arena.time[slots].tolist(),
-            "n_eps": arena.n_eps[slots].tolist(),
-            "c_core": arena.c_core[slots].tolist(),
-            "flags": arena.flags[slots].astype(int).tolist(),
-            "cid": arena.cid[slots].tolist(),
-            "anchor": arena.anchor[slots].tolist(),
-        }
-    else:
-        columns = {key: [] for key in _COLUMN_KEYS}
-        for rec in state.records.values():
-            if rec.deleted:
-                raise CheckpointError(
-                    "checkpoint mid-stride: deleted record still present"
-                )
-            columns["pid"].append(rec.pid)
-            columns["coords"].append(list(rec.coords))
-            columns["time"].append(rec.time)
-            columns["n_eps"].append(rec.n_eps)
-            columns["c_core"].append(rec.c_core)
-            columns["flags"].append(int(WAS_CORE) if rec.was_core else 0)
-            columns["cid"].append(NO_ID if rec.cid is None else rec.cid)
-            columns["anchor"].append(NO_ID if rec.anchor is None else rec.anchor)
+    arena = state.store
+    slots = arena.live_slots()
+    if len(slots) and np.any(arena.flags[slots] & DELETED):
+        raise CheckpointError("checkpoint mid-stride: deleted record still present")
+    columns = {
+        "pid": arena.pid[slots].tolist(),
+        "coords": arena.coords[slots].tolist(),
+        "time": arena.time[slots].tolist(),
+        "n_eps": arena.n_eps[slots].tolist(),
+        "c_core": arena.c_core[slots].tolist(),
+        "flags": arena.flags[slots].astype(int).tolist(),
+        "cid": arena.cid[slots].tolist(),
+        "anchor": arena.anchor[slots].tolist(),
+    }
     cids = state.cids
     return {
         "version": CHECKPOINT_VERSION,
@@ -233,7 +214,7 @@ def _columns_from_records(records: list[dict]) -> dict:
     }
 
 
-def from_checkpoint(payload: dict, *, store: str = "columnar") -> DISC:
+def from_checkpoint(payload: dict) -> DISC:
     """Rebuild a DISC instance from :func:`to_checkpoint` output.
 
     The payload is validated up front (version, required keys, coordinate
@@ -241,8 +222,7 @@ def from_checkpoint(payload: dict, *, store: str = "columnar") -> DISC:
     before any state exists to corrupt. The spatial index is rebuilt on the
     backend named in the payload via the registry, using the batched
     ``insert_many`` layer so backends with bulk machinery (STR packing on
-    the R-tree) load fast. ``store`` picks the storage layout of the
-    restored instance; any supported payload restores onto either layout.
+    the R-tree) load fast.
     """
     if not isinstance(payload, dict):
         raise CheckpointError(
@@ -256,7 +236,6 @@ def from_checkpoint(payload: dict, *, store: str = "columnar") -> DISC:
             index=payload.get("index"),
             multi_starter=payload["multi_starter"],
             epoch_probing=payload["epoch_probing"],
-            store=store,
         )
         if payload["version"] >= 3:
             columns = payload["columns"]
@@ -279,33 +258,20 @@ def from_checkpoint(payload: dict, *, store: str = "columnar") -> DISC:
 
 
 def _populate(disc: DISC, columns: dict) -> None:
-    """Load the state columns into the new instance's storage layout."""
-    state = disc.state
+    """Load the state columns into the new instance's point store."""
+    arena = disc.state.store
     pids = [int(pid) for pid in columns["pid"]]
     coords = [tuple(float(c) for c in row) for row in columns["coords"]]
     times = [float(t) for t in columns["time"]]
-    arena = state.columnar()
-    if arena is not None:
-        slots = arena.bulk_insert(pids, coords, times)
-        if len(slots):
-            arena.n_eps[slots] = [int(v) for v in columns["n_eps"]]
-            arena.c_core[slots] = [int(v) for v in columns["c_core"]]
-            arena.cid[slots] = [int(v) for v in columns["cid"]]
-            arena.anchor[slots] = [int(v) for v in columns["anchor"]]
-            arena.flags[slots] = np.asarray(
-                [int(v) for v in columns["flags"]], dtype=np.uint8
-            )
-    else:
-        for i, pid in enumerate(pids):
-            rec = PointRecord(pid, coords[i], times[i])
-            rec.n_eps = int(columns["n_eps"][i])
-            rec.c_core = int(columns["c_core"][i])
-            rec.was_core = bool(int(columns["flags"][i]) & WAS_CORE)
-            cid = int(columns["cid"][i])
-            rec.cid = None if cid == NO_ID else cid
-            anchor = int(columns["anchor"][i])
-            rec.anchor = None if anchor == NO_ID else anchor
-            state.records[pid] = rec
+    slots = arena.bulk_insert(pids, coords, times)
+    if len(slots):
+        arena.n_eps[slots] = [int(v) for v in columns["n_eps"]]
+        arena.c_core[slots] = [int(v) for v in columns["c_core"]]
+        arena.cid[slots] = [int(v) for v in columns["cid"]]
+        arena.anchor[slots] = [int(v) for v in columns["anchor"]]
+        arena.flags[slots] = np.asarray(
+            [int(v) for v in columns["flags"]], dtype=np.uint8
+        )
     disc.index.insert_many(list(zip(pids, coords)))
 
 

@@ -11,19 +11,18 @@ Every ex-core and every neo-core is range-searched exactly once across the
 whole step; those searches double as the maintenance pass for the border
 bookkeeping (``c_core`` and anchors, Section V of the paper).
 
-On the columnar :class:`~repro.core.store.PointStore` layout each range
-search result is processed as masked column operations over the ball's slot
-array instead of one record lookup per neighbour; the breadth-first
-traversal order itself is untouched. Because every ex-core and neo-core is
-scanned exactly once per phase, and the quantities that classify a
-neighbour (index membership, the ``DELETED``/``WAS_CORE`` flags and
-``n_eps``) are all static within a phase — the BFS only mutates ``c_core``,
-anchors and cluster ids — the columnar path prefetches *all* scan balls of
-a phase with one batched ``ball_many`` call and gathers their
-classification masks in one shot (:func:`_scan_plan`). All order-sensitive
-iteration (class seeds, claim settlement, bonding-root unions, repair
-scans) runs in sorted order so both storage layouts assign identical
-cluster ids.
+Each range search result is processed as masked column operations over the
+ball's slot array in the :class:`~repro.core.store.PointStore` instead of
+one lookup per neighbour; the breadth-first traversal order itself is
+untouched. Because every ex-core and neo-core is scanned exactly once per
+phase, and the quantities that classify a neighbour (index membership, the
+``DELETED``/``WAS_CORE`` flags and ``n_eps``) are all static within a phase
+— the BFS only mutates ``c_core``, anchors and cluster ids — each phase
+prefetches *all* of its scan balls with one batched ``ball_many`` call and
+gathers their classification masks in one shot (:func:`_scan_plan`). All
+order-sensitive iteration (class seeds, claim settlement, bonding-root
+unions, repair scans) runs in sorted order, so cluster-id assignment never
+depends on set-iteration internals.
 """
 
 from __future__ import annotations
@@ -40,26 +39,15 @@ from repro.core.store import DELETED, NO_ID, WAS_CORE
 
 def _make_on_border(state: WindowState):
     """Border-anchor refresh callback for MS-BFS passes (Section V)."""
-    store = state.columnar()
-    if store is not None:
-        flags = store.flags
-        slot_of = store._slot_of
-
-        def on_border(border_pid: int, core_pid: int) -> None:
-            slot = slot_of[border_pid]
-            if flags[slot] & DELETED:
-                return
-            store.anchor[slot] = core_pid
-            state.repair.discard(border_pid)
-
-        return on_border
-    records = state.records
+    store = state.store
+    flags = store.flags
+    slot_of = store._slot_of
 
     def on_border(border_pid: int, core_pid: int) -> None:
-        q = records[border_pid]
-        if q.deleted:
+        slot = slot_of[border_pid]
+        if flags[slot] & DELETED:
             return
-        q.anchor = core_pid
+        store.anchor[slot] = core_pid
         state.repair.discard(border_pid)
 
     return on_border
@@ -143,8 +131,8 @@ def _ordered_classes(pids: list[int]):
     Class consolidation consumes members from ``remaining`` as the BFS
     reaches them; seeding in sorted order (rather than ``set.pop``) makes
     class enumeration — and therefore fresh-cluster-id assignment —
-    independent of set-iteration internals, so both storage layouts produce
-    byte-identical output for the same stream.
+    independent of set-iteration internals, so the same stream always
+    produces byte-identical output.
     """
     remaining = set(pids)
     for seed in sorted(remaining):
@@ -174,8 +162,7 @@ def process_ex_cores(
     params = state.params
     eps = params.eps
     tau = params.tau
-    records = state.records
-    store = state.columnar()
+    store = state.store
     events: list[EvolutionEvent] = []
     on_border = _make_on_border(state)
 
@@ -190,7 +177,7 @@ def process_ex_cores(
     # check over the claimants.
     kept: dict[int, list[int]] = {}
     split_claimed: set[int] = set()
-    plan = _scan_plan(store, index, ex_cores, eps, tau) if store is not None else {}
+    plan = _scan_plan(store, index, ex_cores, eps, tau)
 
     for seed, remaining in _ordered_classes(ex_cores):
         # Breadth-first enumeration of the retro-reachability class R^-(seed);
@@ -206,70 +193,21 @@ def process_ex_cores(
         # id with it.
         class_cid: int | None = None
         while queue:
-            rid = queue.popleft()
-            if store is not None:
-                class_cid = _retro_scan_columnar(
-                    state,
-                    store,
-                    index,
-                    rid,
-                    eps,
-                    tau,
-                    retro,
-                    remaining,
-                    queue,
-                    bonding,
-                    bonding_seen,
-                    class_cid,
-                    plan,
-                )
-                continue
-            rec_r = records[rid]
-            if class_cid is None and rec_r.cid is not None:
-                class_cid = state.cids.find(rec_r.cid)
-            r_in_window = not rec_r.deleted
-            if r_in_window:
-                # Demoted this stride: it no longer carries a core cid, and
-                # any old anchor value is meaningless.
-                rec_r.cid = None
-                rec_r.anchor = None
-            for qid, _ in index.ball(rec_r.coords, eps):
-                if qid == rid:
-                    continue
-                q = records[qid]
-                if q.deleted:
-                    # A lingering exited ex-core: part of the retro chain.
-                    if q.was_core and qid not in retro:
-                        retro.add(qid)
-                        remaining.discard(qid)
-                        queue.append(qid)
-                    continue
-                q_core_now = q.n_eps >= tau
-                if q.was_core and not q_core_now:
-                    # In-window ex-core: extend the retro class.
-                    if qid not in retro:
-                        retro.add(qid)
-                        remaining.discard(qid)
-                        queue.append(qid)
-                elif q_core_now and q.was_core and qid not in bonding_seen:
-                    # Core in both windows adjacent to R^-: an M^- member.
-                    bonding_seen.add(qid)
-                    bonding.append(qid)
-                if r_in_window:
-                    # rid lost core status: its neighbours lose a core
-                    # neighbour. (Exited ex-cores were already accounted for
-                    # during COLLECT.)
-                    q.c_core -= 1
-                    if not q_core_now:
-                        if q.anchor == rid or q.c_core == 0:
-                            q.anchor = None
-                        if q.c_core > 0 and q.anchor is None:
-                            state.repair.add(qid)
-                if q_core_now and r_in_window and rec_r.anchor is None:
-                    # The demoted ex-core itself may become a border.
-                    rec_r.anchor = qid
-            if r_in_window and rec_r.c_core > 0 and rec_r.anchor is None:
-                state.repair.add(rid)
+            class_cid = _retro_scan(
+                state,
+                store,
+                index,
+                queue.popleft(),
+                eps,
+                tau,
+                retro,
+                remaining,
+                queue,
+                bonding,
+                bonding_seen,
+                class_cid,
+                plan,
+            )
 
         if trace is not None:
             trace.retro_classes += 1
@@ -307,7 +245,7 @@ def process_ex_cores(
     return events
 
 
-def _retro_scan_columnar(
+def _retro_scan(
     state: WindowState,
     store,
     index,
@@ -324,12 +262,12 @@ def _retro_scan_columnar(
 ) -> int | None:
     """One retro-BFS expansion as masked column ops; returns ``class_cid``.
 
-    Sequencing note: within one ball the per-neighbour effects of the object
-    loop are independent of each other (each neighbour's counter, its own
-    anchor, and append-order-preserving set insertions), so splitting the
-    ball into phase-ordered batch operations — extend class, collect
-    bonding, decrement ``c_core``, invalidate anchors, then anchor the
-    demoted core itself — is exact.
+    Sequencing note: within one ball the per-neighbour effects of a
+    sequential loop are independent of each other (each neighbour's
+    counter, its own anchor, and append-order-preserving set insertions), so
+    splitting the ball into phase-ordered batch operations — extend class,
+    collect bonding, decrement ``c_core``, invalidate anchors, then anchor
+    the demoted core itself — is exact.
     """
     r_slot = store.slot_of(rid)
     raw_cid = int(store.cid[r_slot])
@@ -387,7 +325,8 @@ def _retro_scan_columnar(
 
 def _claim(state: WindowState, kept: dict[int, list[int]], rep: int) -> int:
     """Record that ``rep``'s component retains its current cluster id."""
-    cid = state.cids.find(state.records[rep].cid)
+    store = state.store
+    cid = state.cids.find(int(store.cid[store.slot_of(rep)]))
     kept.setdefault(cid, []).append(rep)
     return cid
 
@@ -414,18 +353,20 @@ def _settle_claims(
     legitimate; otherwise the exhausted components are fragments that must
     take fresh ids. Returns the extra split events this produces.
     """
-    records = state.records
+    store = state.store
+    tau = state.params.tau
     events: list[EvolutionEvent] = []
     for cid in sorted(split_claimed):
         reps = kept.get(cid, ())
         live = []
         seen: set[int] = set()
         for rep in reps:
-            rec = records.get(rep)
+            slot = store.get_slot(rep)
             if (
-                rec is not None
-                and state.is_core(rec)
-                and state.cids.find(rec.cid) == cid
+                slot is not None
+                and not (store.flags[slot] & DELETED)
+                and store.n_eps[slot] >= tau
+                and state.cids.find(int(store.cid[slot])) == cid
                 and rep not in seen
             ):
                 seen.add(rep)
@@ -525,11 +466,10 @@ def process_neo_cores(
     params = state.params
     eps = params.eps
     tau = params.tau
-    records = state.records
     cids = state.cids
-    store = state.columnar()
+    store = state.store
     events: list[EvolutionEvent] = []
-    plan = _scan_plan(store, index, neo_cores, eps, tau) if store is not None else {}
+    plan = _scan_plan(store, index, neo_cores, eps, tau)
 
     for seed, remaining in _ordered_classes(neo_cores):
         if trace is not None:
@@ -539,50 +479,20 @@ def process_neo_cores(
         queue: deque[int] = deque([seed])
         bonding_roots: set[int] = set()
         while queue:
-            sid = queue.popleft()
-            if store is not None:
-                _nascent_scan_columnar(
-                    state,
-                    store,
-                    index,
-                    sid,
-                    eps,
-                    tau,
-                    seen,
-                    remaining,
-                    queue,
-                    group,
-                    bonding_roots,
-                    plan,
-                )
-                continue
-            rec_s = records[sid]
-            if rec_s.cid is not None:
-                # Pre-assigned by a split relabel earlier this stride; fold it
-                # in so the final assignment stays consistent.
-                bonding_roots.add(cids.find(rec_s.cid))
-            for qid, _ in index.ball(rec_s.coords, eps):
-                if qid == sid:
-                    continue
-                q = records[qid]
-                if q.deleted:
-                    continue
-                # sid gained core status: neighbours gain a core neighbour.
-                q.c_core += 1
-                if q.n_eps < tau:
-                    if q.anchor is None:
-                        q.anchor = sid
-                        state.repair.discard(qid)
-                elif q.was_core:
-                    # Core in both windows: an M^+ member; read its label.
-                    assert q.cid is not None, f"old core {qid} lacks a cid"
-                    bonding_roots.add(cids.find(q.cid))
-                elif qid not in seen:
-                    # Fellow neo-core: extend the nascent class.
-                    seen.add(qid)
-                    remaining.discard(qid)
-                    queue.append(qid)
-                    group.append(qid)
+            _nascent_scan(
+                state,
+                store,
+                index,
+                queue.popleft(),
+                eps,
+                tau,
+                seen,
+                remaining,
+                queue,
+                group,
+                bonding_roots,
+                plan,
+            )
 
         if not bonding_roots:
             cid = cids.make()
@@ -598,22 +508,15 @@ def process_neo_cores(
             for other in roots:
                 cid = cids.union(cid, other)
             kind = EvolutionKind.MERGE
-        if store is not None:
-            group_slots = store.slots_of(group)
-            store.cid[group_slots] = cid
-            store.anchor[group_slots] = NO_ID  # cores do not use anchors
-            state.repair.difference_update(group)
-        else:
-            for pid in group:
-                rec = records[pid]
-                rec.cid = cid
-                rec.anchor = None  # cores do not use anchors
-                state.repair.discard(pid)
+        group_slots = store.slots_of(group)
+        store.cid[group_slots] = cid
+        store.anchor[group_slots] = NO_ID  # cores do not use anchors
+        state.repair.difference_update(group)
         events.append(EvolutionEvent(kind, (cids.find(cid),), trigger=seed))
     return events
 
 
-def _nascent_scan_columnar(
+def _nascent_scan(
     state: WindowState,
     store,
     index,
@@ -673,51 +576,9 @@ def repair_anchors(state: WindowState, index) -> int:
     the whole repair set is issued as one batched ``ball_many`` call.
     Returns the number of searches spent. The repair set is scanned in
     sorted order so the pending list — and with it the index-stats ledger —
-    is identical on both storage layouts.
+    never depends on set-iteration internals.
     """
-    store = state.columnar()
-    if store is not None:
-        return _repair_anchors_columnar(state, store, index)
-    params = state.params
-    eps = params.eps
-    tau = params.tau
-    records = state.records
-    pending = []
-    for pid in sorted(state.repair):
-        rec = records.get(pid)
-        if rec is None or rec.deleted:
-            continue
-        if rec.n_eps >= tau or rec.c_core <= 0:
-            continue  # became a core, or is plain noise: no anchor needed
-        anchor = records.get(rec.anchor) if rec.anchor is not None else None
-        if anchor is not None and not anchor.deleted and anchor.n_eps >= tau:
-            continue  # anchor is still a live core
-        rec.anchor = None
-        pending.append(rec)
-    balls = (
-        index.ball_many([rec.coords for rec in pending], eps)
-        if pending
-        else []
-    )
-    for rec, neighbours in zip(pending, balls):
-        # Lowest-pid core, not first-in-ball-order: ball traversal order
-        # depends on index shape, which differs after a checkpoint restore;
-        # the repaired anchor must not.
-        for qid, _ in neighbours:
-            if qid == rec.pid:
-                continue
-            q = records[qid]
-            if not q.deleted and q.n_eps >= tau:
-                if rec.anchor is None or qid < rec.anchor:
-                    rec.anchor = qid
-        assert rec.anchor is not None, (
-            f"border {rec.pid} has c_core={rec.c_core} but no core neighbour"
-        )
-    state.repair.clear()
-    return len(pending)
-
-
-def _repair_anchors_columnar(state: WindowState, store, index) -> int:
+    store = state.store
     eps = state.params.eps
     tau = state.params.tau
     pending_pids: list[int] = []

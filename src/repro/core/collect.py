@@ -5,25 +5,23 @@ removes exiting points from the index (except ex-cores, which must stay
 visible to the CLUSTER step), inserts entering points, and identifies the two
 sets that drive all cluster evolution: *ex-cores* and *neo-cores*.
 
-Two implementations share the entry point. The columnar path operates on the
-:class:`~repro.core.store.PointStore` columns with whole-stride batched
-updates (one ``np.add.at`` over every neighbour occurrence of the stride);
-the object path is the classic per-record loop. They are required to produce
-identical results — the batched update rules below are the order-free
-closed forms of the sequential loop:
+It operates on the :class:`~repro.core.store.PointStore` columns with
+whole-stride batched updates (one ``np.add.at`` over every neighbour
+occurrence of the stride). The batched update rules below are the order-free
+closed forms of Algorithm 1's sequential per-point loop:
 
 * ``n_eps``/``c_core`` decrements commute, and a departing point's counters
   are zeroed regardless, so departures apply as one flat scatter-add
   followed by a batch zero of the departures themselves.
 * An affected point's anchor ends the departure phase ``None`` iff its core
   count hit zero or its anchor itself departed — anchors always reference
-  ``was_core`` points, so the per-occurrence ``anchor == rec.pid`` test
-  reduces to membership in the departing ex-core set.
+  ``was_core`` points, so the per-occurrence ``anchor == departing pid``
+  test reduces to membership in the departing ex-core set.
 * Anchor-repair candidacy is evaluated on the post-phase state; the
   difference against per-occurrence evaluation is provably washed out by
   the filters in :func:`~repro.core.cluster.repair_anchors` (members that
   differ are either re-anchored by the nascent pass or filtered before the
-  repair search, in both layouts).
+  repair search).
 * A new point's ``n_eps`` is ``1 + |live old neighbours| + |fellow
   arrivals within eps|`` — the sequential later-arrival-counts-the-pair
   rule sums to exactly this, whatever the insertion order.
@@ -38,7 +36,7 @@ import numpy as np
 
 from repro.common.errors import StreamOrderError
 from repro.common.points import StreamPoint
-from repro.core.state import PointRecord, WindowState
+from repro.core.state import WindowState
 from repro.core.store import DELETED, NO_ID, WAS_CORE, PointStore
 
 
@@ -70,33 +68,14 @@ def collect(
     point's core neighbour count ``c_core`` (the border bookkeeping of
     DESIGN.md §3.3).
     """
-    store = state.columnar()
-    if store is not None:
-        return _collect_columnar(state, store, index, delta_in, delta_out, trace=trace)
-    return _collect_object(state, index, delta_in, delta_out, trace=trace)
-
-
-# --------------------------------------------------------------------------
-# Columnar path: batched column updates over the PointStore arena.
-# --------------------------------------------------------------------------
-
-
-def _collect_columnar(
-    state: WindowState,
-    store: PointStore,
-    index,
-    delta_in: Sequence[StreamPoint],
-    delta_out: Sequence[StreamPoint],
-    *,
-    trace=None,
-) -> CollectResult:
+    store = state.store
     params = state.params
     eps = params.eps
     tau = params.tau
     result = CollectResult()
     touched: set[int] = set()
 
-    _validate_deltas_columnar(store, delta_in, delta_out)
+    _validate_deltas(store, delta_in, delta_out)
 
     # --- departures (Algorithm 1, lines 2-7) -------------------------------
     out_pids = [sp.pid for sp in delta_out]
@@ -233,159 +212,8 @@ def _collect_columnar(
     return result
 
 
-def _validate_deltas_columnar(
-    store: PointStore,
-    delta_in: Sequence[StreamPoint],
-    delta_out: Sequence[StreamPoint],
-) -> None:
-    out_ids: set[int] = set()
-    for sp in delta_out:
-        slot = store.get_slot(sp.pid)
-        if slot is None or (store.flags[slot] & DELETED):
-            raise StreamOrderError(f"cannot delete {sp.pid}: not in the window")
-        if sp.pid in out_ids:
-            raise StreamOrderError(f"point {sp.pid} deleted twice in one stride")
-        out_ids.add(sp.pid)
-    in_ids: set[int] = set()
-    for sp in delta_in:
-        if sp.pid in store:
-            raise StreamOrderError(
-                f"cannot insert {sp.pid}: id already in window"
-            )
-        if sp.pid in in_ids:
-            raise StreamOrderError(
-                f"point {sp.pid} inserted twice in one stride"
-            )
-        in_ids.add(sp.pid)
-
-
-# --------------------------------------------------------------------------
-# Object path: the classic per-record loop (reference implementation).
-# --------------------------------------------------------------------------
-
-
-def _collect_object(
-    state: WindowState,
-    index,
-    delta_in: Sequence[StreamPoint],
-    delta_out: Sequence[StreamPoint],
-    *,
-    trace=None,
-) -> CollectResult:
-    params = state.params
-    eps = params.eps
-    tau = params.tau
-    records = state.records
-    result = CollectResult()
-    touched: set[int] = set()
-
-    _validate_deltas(records, delta_in, delta_out)
-
-    # --- departures (Algorithm 1, lines 2-7) -------------------------------
-    # All departure balls are taken up front, before anything leaves the
-    # index. That matches the one-search-at-a-time semantics exactly: a
-    # departing point found in a later departure's ball is skipped through
-    # its ``deleted`` flag, which is what the incremental index deletions
-    # used to guarantee.
-    out_recs = [records[sp.pid] for sp in delta_out]
-    out_balls = (
-        index.ball_many([rec.coords for rec in out_recs], eps)
-        if out_recs
-        else []
-    )
-    non_core_exits: list[int] = []
-    for rec, neighbours in zip(out_recs, out_balls):
-        was_core = rec.was_core
-        if was_core:
-            # Ex-cores linger in the index until CLUSTER finishes (line 3).
-            result.c_out.append(rec.pid)
-        else:
-            non_core_exits.append(rec.pid)
-        for qid, _ in neighbours:
-            if qid == rec.pid:
-                continue
-            q = records[qid]
-            if q.deleted:
-                continue
-            q.n_eps -= 1
-            touched.add(qid)
-            if was_core:
-                q.c_core -= 1
-                if q.anchor == rec.pid or q.c_core == 0:
-                    q.anchor = None
-                if q.c_core > 0 and q.anchor is None and q.n_eps < tau:
-                    state.repair.add(qid)
-        rec.deleted = True
-        rec.n_eps = 0
-        rec.c_core = 0
-        result.deleted_ids.append(rec.pid)
-        touched.discard(rec.pid)
-    index.delete_many(non_core_exits)
-
-    # --- arrivals (Algorithm 1, lines 8-12) --------------------------------
-    # Insert the whole delta, then take every arrival ball in one batched
-    # call. Each ball now also contains arrivals inserted *after* its
-    # center; skipping those keeps the pair accounting identical to the
-    # sequential insert-then-search loop, where each new-new pair is counted
-    # exactly once — by the later arrival's search, for both endpoints.
-    new_recs = []
-    for sp in delta_in:
-        rec = PointRecord(sp.pid, tuple(sp.coords), sp.time)
-        records[sp.pid] = rec
-        new_recs.append(rec)
-    index.insert_many([(rec.pid, rec.coords) for rec in new_recs])
-    in_balls = (
-        index.ball_many([rec.coords for rec in new_recs], eps)
-        if new_recs
-        else []
-    )
-    arrival_order = {rec.pid: i for i, rec in enumerate(new_recs)}
-    for i, (rec, neighbours) in enumerate(zip(new_recs, in_balls)):
-        for qid, _ in neighbours:
-            if qid == rec.pid:
-                continue
-            order = arrival_order.get(qid)
-            if order is not None and order > i:
-                continue  # pair handled when the later arrival is processed
-            q = records[qid]
-            if q.deleted:
-                continue
-            q.n_eps += 1
-            rec.n_eps += 1
-            touched.add(qid)
-            if q.was_core:
-                # q is a core of the previous window still present; whether it
-                # survives as a core is settled by CLUSTER (ex-core handling
-                # decrements again if it does not).
-                rec.c_core += 1
-                # Lowest-pid core, not first-in-ball-order: ball traversal
-                # order depends on index shape, which differs after a
-                # checkpoint restore; the anchor choice must not.
-                if rec.anchor is None or qid < rec.anchor:
-                    rec.anchor = qid
-        touched.add(rec.pid)
-
-    # --- classify the flips (Algorithm 1, line 13) -------------------------
-    # Ascending pid order: iteration order must not depend on set internals,
-    # or the two storage layouts could assign different (if isomorphic)
-    # cluster ids for the same stream.
-    for pid in sorted(touched):
-        rec = records[pid]
-        if rec.deleted:
-            continue
-        is_core = rec.n_eps >= tau
-        if rec.was_core and not is_core:
-            result.ex_cores.append(pid)
-        elif is_core and not rec.was_core:
-            result.neo_cores.append(pid)
-    result.ex_cores.extend(result.c_out)
-    if trace is not None:
-        trace.collect_touched = len(touched)
-    return result
-
-
 def _validate_deltas(
-    records,
+    store: PointStore,
     delta_in: Sequence[StreamPoint],
     delta_out: Sequence[StreamPoint],
 ) -> None:
@@ -398,15 +226,15 @@ def _validate_deltas(
     """
     out_ids: set[int] = set()
     for sp in delta_out:
-        rec = records.get(sp.pid)
-        if rec is None or rec.deleted:
+        slot = store.get_slot(sp.pid)
+        if slot is None or (store.flags[slot] & DELETED):
             raise StreamOrderError(f"cannot delete {sp.pid}: not in the window")
         if sp.pid in out_ids:
             raise StreamOrderError(f"point {sp.pid} deleted twice in one stride")
         out_ids.add(sp.pid)
     in_ids: set[int] = set()
     for sp in delta_in:
-        if sp.pid in records:
+        if sp.pid in store:
             raise StreamOrderError(
                 f"cannot insert {sp.pid}: id already in window"
             )

@@ -52,16 +52,8 @@ class DISC:
             native epoch probing are transparently wrapped in an
             :class:`~repro.index.epochs.EpochAdapter` when ``epoch_probing``
             is on.
-        index_factory: deprecated alias for ``index``; kept for backward
-            compatibility.
         multi_starter: use MS-BFS for connectivity checks (Figure 8 knob).
         epoch_probing: use epoch-based index probing (Figure 8 knob).
-        store: per-point state layout — ``"columnar"`` (default) for the
-            struct-of-arrays :class:`~repro.core.store.PointStore` arena,
-            ``"object"`` for the classic one-record-per-point dict. Both
-            layouts produce identical clusterings; the object layout exists
-            as the reference for the equivalence suite and the layout
-            benchmark.
         tracer: optional :class:`~repro.observability.trace.Tracer`; when
             set, every ``advance`` produces one
             :class:`~repro.observability.trace.StrideTrace` with phase
@@ -78,19 +70,16 @@ class DISC:
         tau: int,
         *,
         index: str | NeighborIndex | Callable[[], NeighborIndex] | None = None,
-        index_factory: Callable[[], NeighborIndex] | None = None,
         multi_starter: bool = True,
         epoch_probing: bool = True,
-        store: str = "columnar",
         tracer=None,
     ) -> None:
         self.params = ClusteringParams(
             eps, tau, index=index if isinstance(index, str) else None
         )
-        self.state = WindowState(self.params, store=store)
+        self.state = WindowState(self.params)
         self.index = resolve_index(
             index if index is not None else self.params.index,
-            index_factory,
             eps=eps,
             epoch_probing=epoch_probing,
         )
@@ -177,9 +166,7 @@ class DISC:
             trace.ex_cores = len(result.ex_cores)
             trace.neo_cores = len(result.neo_cores)
             trace.index = index.stats.snapshot() - stats_before
-            arena = state.columnar()
-            if arena is not None:
-                trace.store = arena.counters()
+            trace.store = state.store.counters()
             for event in summary.events:
                 key = event.kind.value
                 trace.events[key] = trace.events.get(key, 0) + 1
@@ -187,34 +174,21 @@ class DISC:
         return summary
 
     def _advance_generation(self, result) -> None:
-        """Purge exited records and roll core flags into ``was_core``."""
-        tau = self.params.tau
-        arena = self.state.columnar()
-        if arena is not None:
-            arena.free(result.deleted_ids)
-            ex_slots = [
-                slot
-                for pid in result.ex_cores
-                if (slot := arena.get_slot(pid)) is not None
-            ]
-            if ex_slots:
-                arena.flags[np.asarray(ex_slots, dtype=np.int64)] &= ~WAS_CORE
-            if result.neo_cores:
-                neo_slots = arena.slots_of(result.neo_cores)
-                core = arena.n_eps[neo_slots] >= tau
-                arena.flags[neo_slots[core]] |= WAS_CORE
-                arena.flags[neo_slots[~core]] &= ~WAS_CORE
-            return
-        records = self.state.records
-        for pid in result.deleted_ids:
-            del records[pid]
-        for pid in result.ex_cores:
-            rec = records.get(pid)
-            if rec is not None:
-                rec.was_core = False
-        for pid in result.neo_cores:
-            rec = records[pid]
-            rec.was_core = rec.n_eps >= tau
+        """Purge exited rows and roll core flags into ``was_core``."""
+        arena = self.state.store
+        arena.free(result.deleted_ids)
+        ex_slots = [
+            slot
+            for pid in result.ex_cores
+            if (slot := arena.get_slot(pid)) is not None
+        ]
+        if ex_slots:
+            arena.flags[np.asarray(ex_slots, dtype=np.int64)] &= ~WAS_CORE
+        if result.neo_cores:
+            neo_slots = arena.slots_of(result.neo_cores)
+            core = arena.n_eps[neo_slots] >= self.params.tau
+            arena.flags[neo_slots[core]] |= WAS_CORE
+            arena.flags[neo_slots[~core]] &= ~WAS_CORE
 
     def snapshot(self) -> Clustering:
         """Current clustering (cores, borders with valid anchors, noise)."""
@@ -226,7 +200,7 @@ class DISC:
 
     def __len__(self) -> int:
         """Number of points currently in the window."""
-        return len(self.state.records)
+        return len(self.state.store)
 
     def __repr__(self) -> str:
         return (

@@ -73,7 +73,7 @@ def check_connectivity(
     Args:
         index: spatial index holding every point in the window (plus any
             lingering exited ex-cores, which are skipped as deleted).
-        state: window state providing per-point records.
+        state: window state providing the per-point columns.
         seeds: core pids — the minimal bonding cores ``M^-(p)``.
         multi_starter: use MS-BFS (True) or sequential BFS (False).
         epoch_probing: use epoch-filtered index probes.
@@ -92,31 +92,19 @@ def check_connectivity(
     if not seed_list:
         return ConnectivityResult()
 
-    records = state.records
     tau = state.params.tau
     eps = state.params.eps
-    store = state.columnar()
+    store = state.store
+    flags_col = store.flags
+    n_eps_col = store.n_eps
+    slot_of = store._slot_of
 
     tick = index.new_tick() if epoch_probing else None
 
-    if store is not None:
-        flags_col = store.flags
-        n_eps_col = store.n_eps
-        slot_of = store._slot_of
-
-        def is_core_pid(pid: int) -> bool:
-            slot = slot_of[pid]
-            return not (flags_col[slot] & DELETED) and n_eps_col[slot] >= tau
-
-    else:
-
-        def is_core_pid(pid: int) -> bool:
-            rec = records[pid]
-            return not rec.deleted and rec.n_eps >= tau
-
     def should_mark(pid: int) -> bool:
         # Mark non-cores at first sight; cores only at expansion (see above).
-        return not is_core_pid(pid)
+        slot = slot_of[pid]
+        return bool(flags_col[slot] & DELETED) or n_eps_col[slot] < tau
 
     groups = DisjointSet()
     owner: dict[int, int] = {}
@@ -183,49 +171,28 @@ def check_connectivity(
         if trace is not None:
             trace.msbfs_expansions += 1
         root = group_root
-        if store is not None:
-            # Columnar: ids-only probes (no candidate tuples), then scalar
-            # column reads per neighbour in exact ball order — the balls
-            # here are small enough that vectorized masking loses to two
-            # array lookups per point.
-            coords = store.coords[slot_of[pid]].tolist()
-            if epoch_probing:
-                if probe_pids is not None:
-                    qids = probe_pids(coords, eps, tick, should_mark)
-                else:  # native-epoch backend without an ids-only probe
-                    qids = [
-                        qid
-                        for qid, _ in index.ball_unvisited(
-                            coords, eps, tick, should_mark
-                        )
-                    ]
-                index.mark(pid, tick)
-            else:
-                qids = index.ball_pids(coords, eps).tolist()
-            for qid in qids:
-                if qid == pid:
-                    continue
-                slot = slot_of[qid]
-                if flags_col[slot] & DELETED:
-                    continue
-                if n_eps_col[slot] >= tau:
-                    root = merge_into(root, qid)
-                elif on_border is not None:
-                    on_border(qid, pid)
-            return root
-        coords = records[pid].coords
+        # Ids-only probes (no candidate tuples), then scalar column reads per
+        # neighbour in exact ball order — the balls here are small enough
+        # that vectorized masking loses to two array lookups per point.
+        coords = store.coords[slot_of[pid]].tolist()
         if epoch_probing:
-            neighbours = index.ball_unvisited(coords, eps, tick, should_mark)
+            if probe_pids is not None:
+                qids = probe_pids(coords, eps, tick, should_mark)
+            else:  # native-epoch backend without an ids-only probe
+                qids = [
+                    qid
+                    for qid, _ in index.ball_unvisited(coords, eps, tick, should_mark)
+                ]
             index.mark(pid, tick)
         else:
-            neighbours = index.ball(coords, eps)
-        for qid, _ in neighbours:
+            qids = index.ball_pids(coords, eps).tolist()
+        for qid in qids:
             if qid == pid:
                 continue
-            q = records[qid]
-            if q.deleted:
+            slot = slot_of[qid]
+            if flags_col[slot] & DELETED:
                 continue
-            if q.n_eps >= tau:
+            if n_eps_col[slot] >= tau:
                 root = merge_into(root, qid)
             elif on_border is not None:
                 on_border(qid, pid)
@@ -278,41 +245,3 @@ def check_connectivity(
         exhausted=[dead[root] for root in dead_order],
         survivor=survivor,
     )
-
-
-def collect_component(
-    index,
-    state: WindowState,
-    start: int,
-    *,
-    on_border: Callable[[int, int], None] | None = None,
-) -> list[int]:
-    """Fully traverse the current-core component containing ``start``.
-
-    Used when a partially traversed component must be pinned down — e.g. to
-    resolve a kept-cluster-id conflict between two reachability classes that
-    carved the same old cluster (see ``repro.core.cluster``). Plain range
-    searches; one per expanded core.
-    """
-    records = state.records
-    tau = state.params.tau
-    eps = state.params.eps
-    seen = {start}
-    queue: deque[int] = deque([start])
-    component = [start]
-    while queue:
-        pid = queue.popleft()
-        for qid, _ in index.ball(records[pid].coords, eps):
-            if qid == pid:
-                continue
-            q = records[qid]
-            if q.deleted:
-                continue
-            if q.n_eps >= tau:
-                if qid not in seen:
-                    seen.add(qid)
-                    component.append(qid)
-                    queue.append(qid)
-            elif on_border is not None:
-                on_border(qid, pid)
-    return component

@@ -7,16 +7,9 @@ cluster id for cores, and the border machinery — ``c_core`` (how many current
 cores lie within epsilon) and ``anchor`` (one such core, through which the
 border's cluster id is resolved). See DESIGN.md §3.3.
 
-Two storage layouts back the same state API:
-
-* ``columnar`` (default) — a struct-of-arrays :class:`~repro.core.store.PointStore`
-  arena; ``records`` is a :class:`~repro.core.store.RecordMap` of transient
-  :class:`~repro.core.store.RecordView` proxies, and the COLLECT/CLUSTER hot
-  paths bypass the proxies entirely with batched column operations.
-* ``object`` — the classic one-``PointRecord``-per-point dict, kept as the
-  reference implementation for the equivalence suite and the layout
-  benchmark. Both layouts are required to produce byte-identical output
-  (tests/test_store_equivalence.py).
+The fields live in the columns of a struct-of-arrays
+:class:`~repro.core.store.PointStore` arena; the COLLECT/CLUSTER hot paths
+read and write them with batched column operations.
 """
 
 from __future__ import annotations
@@ -27,138 +20,33 @@ import numpy as np
 
 from repro.common.config import ClusteringParams
 from repro.common.disjointset import DisjointSet
-from repro.common.errors import StreamOrderError
 from repro.common.snapshot import Category, Clustering
-from repro.core.store import DELETED, NO_ID, PointStore, RecordMap
-
-Coords = tuple[float, ...]
-
-
-class PointRecord:
-    """Mutable bookkeeping for one point in (or just leaving) the window."""
-
-    __slots__ = (
-        "pid",
-        "coords",
-        "n_eps",
-        "c_core",
-        "was_core",
-        "cid",
-        "anchor",
-        "deleted",
-        "time",
-    )
-
-    def __init__(self, pid: int, coords: Coords, time: float = 0.0) -> None:
-        self.pid = pid
-        self.coords = coords
-        self.n_eps = 1  # a point is its own epsilon-neighbour
-        self.c_core = 0  # current cores within eps, excluding the point itself
-        self.was_core = False  # core status at the end of the previous stride
-        self.cid: int | None = None  # raw cluster id; resolve through DisjointSet
-        self.anchor: int | None = None  # a core neighbour lending borders a cid
-        self.deleted = False  # exited the window (ex-cores linger in the index)
-        self.time = time
-
-    def __repr__(self) -> str:
-        return (
-            f"PointRecord(pid={self.pid}, n={self.n_eps}, c_core={self.c_core}, "
-            f"was_core={self.was_core}, cid={self.cid}, anchor={self.anchor}, "
-            f"deleted={self.deleted}, time={self.time})"
-        )
+from repro.core.store import DELETED, NO_ID, PointStore
 
 
 class WindowState:
-    """All per-point records plus the cluster-id disjoint set.
+    """The per-point columns plus the cluster-id disjoint set.
 
     The spatial index lives next to this object inside
-    :class:`~repro.core.disc.DISC`; this class only owns the records so the
-    COLLECT/CLUSTER functions can be tested against it in isolation.
+    :class:`~repro.core.disc.DISC`; this class only owns the point state so
+    the COLLECT/CLUSTER functions can be tested against it in isolation.
 
     Args:
         params: epsilon/tau (and backend) configuration.
-        store: ``"columnar"`` for the :class:`~repro.core.store.PointStore`
-            arena (default), ``"object"`` for one ``PointRecord`` per point.
     """
 
-    def __init__(self, params: ClusteringParams, store: str = "columnar") -> None:
+    def __init__(self, params: ClusteringParams) -> None:
         self.params = params
-        if store == "columnar":
-            self.store: PointStore | None = PointStore()
-            self.records = RecordMap(self.store)
-        elif store == "object":
-            self.store = None
-            self.records = {}
-        else:
-            raise ValueError(f"unknown store layout: {store!r}")
+        self.store = PointStore()
         self.cids = DisjointSet()
         # Non-core points whose border anchor was invalidated this stride and
         # needs one repair range search at the end of CLUSTER.
         self.repair: set[int] = set()
 
-    @property
-    def store_kind(self) -> str:
-        return "object" if self.store is None else "columnar"
-
-    def columnar(self) -> PointStore | None:
-        """The backing arena when the columnar fast paths may be used.
-
-        Tests are allowed to swap ``state.records`` for a plain dict of
-        stand-alone records; the generic per-record code handles that, but
-        the batched column paths must then stand down.
-        """
-        store = self.store
-        if store is not None and isinstance(self.records, RecordMap):
-            if self.records.store is store:
-                return store
-        return None
-
-    def is_core(self, rec) -> bool:
-        """Current core status, derived from the live neighbour count."""
-        return not rec.deleted and rec.n_eps >= self.params.tau
-
-    def get(self, pid: int):
-        try:
-            return self.records[pid]
-        except KeyError:
-            raise StreamOrderError(f"point {pid} is not in the window") from None
-
-    def live_records(self) -> Iterable:
-        """Records of points currently inside the window."""
-        return (rec for rec in self.records.values() if not rec.deleted)
-
-    def category_of(self, rec) -> Category:
-        if rec.deleted:
-            return Category.DELETED
-        if rec.n_eps >= self.params.tau:
-            return Category.CORE
-        if rec.c_core > 0:
-            return Category.BORDER
-        return Category.NOISE
-
-    def resolved_cid(self, rec) -> int:
-        """Cluster id of a core or border record, resolved through union-find."""
-        if self.is_core(rec):
-            assert rec.cid is not None, f"core {rec.pid} has no cluster id"
-            return self.cids.find(rec.cid)
-        assert rec.anchor is not None, f"border {rec.pid} has no anchor"
-        anchor = self.records[rec.anchor]
-        assert self.is_core(anchor), (
-            f"border {rec.pid} anchored to non-core {rec.anchor}"
-        )
-        assert anchor.cid is not None
-        return self.cids.find(anchor.cid)
-
     def set_cids(self, pids: Iterable[int], cid: int | None) -> None:
         """Assign one raw cluster id to a batch of points."""
-        store = self.columnar()
-        if store is not None:
-            slots = store.slots_of(pids)
-            store.cid[slots] = NO_ID if cid is None else cid
-            return
-        records = self.records
-        for pid in pids:
-            records[pid].cid = cid
+        store = self.store
+        store.cid[store.slots_of(pids)] = NO_ID if cid is None else cid
 
     def compact_cids(self) -> int:
         """Rebuild the cluster-id forest keeping only live roots.
@@ -171,31 +59,22 @@ class WindowState:
         """
         fresh = DisjointSet()
         live_roots: set[int] = set()
-        store = self.columnar()
-        if store is not None:
-            # One vectorized pass: find the root of each *distinct* live id,
-            # then remap the whole cid column through the unique-inverse.
-            slots = store.live_slots()
-            if len(slots):
-                mask = (store.cid[slots] != NO_ID) & (
-                    (store.flags[slots] & DELETED) == 0
-                )
-                slots = slots[mask]
-            if len(slots):
-                uniq, inverse = np.unique(store.cid[slots], return_inverse=True)
-                roots = np.fromiter(
-                    (self.cids.find(int(c)) for c in uniq),
-                    dtype=np.int64,
-                    count=len(uniq),
-                )
-                store.cid[slots] = roots[inverse]
-                live_roots.update(roots.tolist())
-        else:
-            for rec in self.records.values():
-                if rec.cid is not None and not rec.deleted:
-                    root = self.cids.find(rec.cid)
-                    rec.cid = root
-                    live_roots.add(root)
+        store = self.store
+        # One vectorized pass: find the root of each *distinct* live id, then
+        # remap the whole cid column through the unique-inverse.
+        slots = store.live_slots()
+        if len(slots):
+            mask = (store.cid[slots] != NO_ID) & ((store.flags[slots] & DELETED) == 0)
+            slots = slots[mask]
+        if len(slots):
+            uniq, inverse = np.unique(store.cid[slots], return_inverse=True)
+            roots = np.fromiter(
+                (self.cids.find(int(c)) for c in uniq),
+                dtype=np.int64,
+                count=len(uniq),
+            )
+            store.cid[slots] = roots[inverse]
+            live_roots.update(roots.tolist())
         for root in live_roots:
             fresh.find(root)  # registers the id as its own singleton
         # Never reuse an id: carry the counter forward.
@@ -204,21 +83,12 @@ class WindowState:
         return len(fresh)
 
     def snapshot(self) -> Clustering:
-        """Freeze the current labels into a :class:`Clustering`."""
-        store = self.columnar()
-        if store is not None:
-            return self._snapshot_columnar(store)
-        labels: dict[int, int] = {}
-        categories: dict[int, Category] = {}
-        for rec in self.live_records():
-            category = self.category_of(rec)
-            categories[rec.pid] = category
-            if category in (Category.CORE, Category.BORDER):
-                labels[rec.pid] = self.resolved_cid(rec)
-        return Clustering(labels, categories)
+        """Freeze the current labels into a :class:`Clustering`.
 
-    def _snapshot_columnar(self, store: PointStore) -> Clustering:
-        """Column-sliced snapshot: category masks plus a unique-cid remap."""
+        Column-sliced: category masks over the live rows plus one
+        union-find resolution per distinct raw cluster id.
+        """
+        store = self.store
         tau = self.params.tau
         slots = store.live_slots()
         if len(slots):

@@ -1,16 +1,11 @@
 """Columnar (struct-of-arrays) storage for per-point window state.
 
-The object layout of :class:`~repro.core.state.PointRecord` — one Python
-object per point, one attribute chase per field — is what made COLLECT's
-``n_eps``/``c_core`` maintenance and stride expiry the dominant cost of a
-window advance. :class:`PointStore` replaces it with a struct-of-arrays
+:class:`PointStore` keeps DISC's per-point bookkeeping in a struct-of-arrays
 arena: one numpy column per field, grown in fixed-size slabs, with a
 free-list recycling slots on expiry so a steady-state stream never
 reallocates. The COLLECT/CLUSTER hot paths operate on whole index arrays
 (``np.add.at`` over every neighbour of a stride at once) instead of touching
-records one by one; everything else goes through the
-:class:`RecordView`/:class:`RecordMap` façade, which preserves the classic
-per-record API on top of the columns.
+points one by one.
 
 Layout (one row per resident point):
 
@@ -27,13 +22,13 @@ anchor int64     anchoring core pid for borders; ``-1`` encodes None
 flags  uint8     bitfield: ``WAS_CORE`` (bit 0), ``DELETED`` (bit 1)
 ====== ========= =====================================================
 
-Core status is *derived* (``n_eps >= tau``), never stored — exactly as in
-the object layout. See DESIGN.md §3.3 and docs/performance.md.
+Core status is *derived* (``n_eps >= tau``), never stored. See DESIGN.md
+§3.3 and docs/performance.md.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -87,8 +82,8 @@ class PointStore:
         self.cid = np.empty(0, dtype=np.int64)
         self.anchor = np.empty(0, dtype=np.int64)
         self.flags = np.empty(0, dtype=np.uint8)
-        # pid -> slot; insertion-ordered (Python dict), which keeps iteration
-        # order identical to the object layout's records dict.
+        # pid -> slot; insertion-ordered (Python dict), so iteration follows
+        # window arrival order.
         self._slot_of: dict[int, int] = {}
         self._free: list[int] = []
         self.recycled_total = 0
@@ -167,9 +162,9 @@ class PointStore:
     ) -> np.ndarray:
         """Insert a batch of fresh points; returns their slots (int64).
 
-        New rows start exactly like a fresh ``PointRecord``: ``n_eps=1``
-        (a point is its own epsilon-neighbour), ``c_core=0``, no flags, no
-        cluster id, no anchor.
+        New rows start with ``n_eps=1`` (a point is its own
+        epsilon-neighbour), ``c_core=0``, no flags, no cluster id and no
+        anchor.
         """
         n = len(pids)
         if n == 0:
@@ -247,9 +242,6 @@ class PointStore:
         """Resident pids in insertion order."""
         return iter(self._slot_of)
 
-    def view(self, pid: int) -> "RecordView":
-        return RecordView(self, self._slot_of[pid])
-
     # ------------------------------------------------------------- invariants
 
     def check_invariants(self) -> None:
@@ -263,150 +255,3 @@ class PointStore:
         assert self.high_water <= self.capacity
         for pid, slot in self._slot_of.items():
             assert int(self.pid[slot]) == pid, f"pid column out of sync at {slot}"
-
-
-class RecordView:
-    """A per-point proxy reading and writing one :class:`PointStore` row.
-
-    Exposes exactly the :class:`~repro.core.state.PointRecord` attribute set
-    so call sites (and tests) written against the object layout keep working
-    unchanged. Views are transient — create, touch, discard; the hot paths
-    never build them.
-    """
-
-    __slots__ = ("_store", "_slot")
-
-    def __init__(self, store: PointStore, slot: int) -> None:
-        object.__setattr__(self, "_store", store)
-        object.__setattr__(self, "_slot", slot)
-
-    @property
-    def pid(self) -> int:
-        return int(self._store.pid[self._slot])
-
-    @property
-    def coords(self) -> tuple[float, ...]:
-        return tuple(self._store.coords[self._slot].tolist())
-
-    @property
-    def time(self) -> float:
-        return float(self._store.time[self._slot])
-
-    @time.setter
-    def time(self, value: float) -> None:
-        self._store.time[self._slot] = value
-
-    @property
-    def n_eps(self) -> int:
-        return int(self._store.n_eps[self._slot])
-
-    @n_eps.setter
-    def n_eps(self, value: int) -> None:
-        self._store.n_eps[self._slot] = value
-
-    @property
-    def c_core(self) -> int:
-        return int(self._store.c_core[self._slot])
-
-    @c_core.setter
-    def c_core(self, value: int) -> None:
-        self._store.c_core[self._slot] = value
-
-    @property
-    def cid(self) -> int | None:
-        raw = self._store.cid[self._slot]
-        return None if raw == NO_ID else int(raw)
-
-    @cid.setter
-    def cid(self, value: int | None) -> None:
-        self._store.cid[self._slot] = NO_ID if value is None else value
-
-    @property
-    def anchor(self) -> int | None:
-        raw = self._store.anchor[self._slot]
-        return None if raw == NO_ID else int(raw)
-
-    @anchor.setter
-    def anchor(self, value: int | None) -> None:
-        self._store.anchor[self._slot] = NO_ID if value is None else value
-
-    @property
-    def was_core(self) -> bool:
-        return bool(self._store.flags[self._slot] & WAS_CORE)
-
-    @was_core.setter
-    def was_core(self, value: bool) -> None:
-        if value:
-            self._store.flags[self._slot] |= WAS_CORE
-        else:
-            self._store.flags[self._slot] &= ~WAS_CORE
-
-    @property
-    def deleted(self) -> bool:
-        return bool(self._store.flags[self._slot] & DELETED)
-
-    @deleted.setter
-    def deleted(self, value: bool) -> None:
-        if value:
-            self._store.flags[self._slot] |= DELETED
-        else:
-            self._store.flags[self._slot] &= ~DELETED
-
-    def __repr__(self) -> str:
-        return (
-            f"RecordView(pid={self.pid}, n={self.n_eps}, c_core={self.c_core}, "
-            f"was_core={self.was_core}, cid={self.cid}, anchor={self.anchor}, "
-            f"deleted={self.deleted}, time={self.time})"
-        )
-
-
-class RecordMap(Mapping):
-    """Mapping façade: pid -> :class:`RecordView` over a :class:`PointStore`.
-
-    Supports the read surface the per-record code paths use (`[]`, ``get``,
-    ``in``, ``len``, iteration in insertion order, ``values``/``items``).
-    Mutation goes through the store (``bulk_insert`` / ``free``); the only
-    mapping-style mutation kept is ``del records[pid]``, for parity with the
-    object layout's purge loop.
-    """
-
-    __slots__ = ("_store",)
-
-    def __init__(self, store: PointStore) -> None:
-        self._store = store
-
-    @property
-    def store(self) -> PointStore:
-        return self._store
-
-    def __getitem__(self, pid: int) -> RecordView:
-        return RecordView(self._store, self._store._slot_of[pid])
-
-    def __delitem__(self, pid: int) -> None:
-        self._store.free([pid])
-
-    def __len__(self) -> int:
-        return len(self._store._slot_of)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._store._slot_of)
-
-    def __contains__(self, pid: object) -> bool:
-        return pid in self._store._slot_of
-
-    def get(self, pid: int, default=None):
-        slot = self._store._slot_of.get(pid)
-        if slot is None:
-            return default
-        return RecordView(self._store, slot)
-
-    def values(self):
-        store = self._store
-        return (RecordView(store, slot) for slot in store._slot_of.values())
-
-    def items(self):
-        store = self._store
-        return (
-            (pid, RecordView(store, slot))
-            for pid, slot in store._slot_of.items()
-        )

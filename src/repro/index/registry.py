@@ -11,17 +11,15 @@ the grid backends are tuned to one epsilon (and build their cell stencils
 lazily when ``dim`` is ``None``, learning the dimensionality from the first
 inserted point).
 
-:func:`make_index` is the single resolution point. It accepts, for backward
-compatibility with the old ``index_factory`` keyword, any of:
+:func:`make_index` is the single resolution point. It accepts any of:
 
 - a registry name (``"rtree"``, ``"linear"``, ``"grid"``, ``"vectorgrid"``);
 - a ready :class:`~repro.index.base.NeighborIndex` instance (returned as-is);
-- a zero-argument callable building an index (the legacy factory shape).
+- a zero-argument callable building an index.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Callable
 
 from repro.common.errors import ConfigurationError
@@ -70,7 +68,7 @@ def make_index(
 
     Args:
         spec: a registry name, a pre-built index (returned unchanged), a
-            zero-argument legacy factory, or ``None`` for the default
+            zero-argument factory, or ``None`` for the default
             (:data:`DEFAULT_INDEX`).
         eps: epsilon the index will serve; required by grid backends.
         dim: point dimensionality if already known; grid backends finish
@@ -103,30 +101,17 @@ def make_index(
 
 def resolve_index(
     spec: str | NeighborIndex | Callable[[], object] | None,
-    index_factory: Callable[[], object] | None = None,
     *,
     eps: float | None = None,
     dim: int | None = None,
     epoch_probing: bool = False,
-    owner: str = "DISC",
 ) -> NeighborIndex:
-    """Resolve a clusterer's index arguments into a ready backend.
+    """Resolve a clusterer's ``index=`` argument into a ready backend.
 
-    Shared by every clusterer taking the ``index=`` / ``index_factory=``
-    pair: ``index`` wins when both are given, ``index_factory`` is honoured
-    with a deprecation warning, and when ``epoch_probing`` is requested a
-    backend without native epochs is wrapped in
+    :func:`make_index`, plus: when ``epoch_probing`` is requested a backend
+    without native epochs is wrapped in
     :class:`~repro.index.epochs.EpochAdapter` so probing works everywhere.
     """
-    if index_factory is not None:
-        warnings.warn(
-            f"{owner}(index_factory=...) is deprecated; "
-            "pass index=<name|instance|factory> instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if spec is None:
-            spec = index_factory
     backend = make_index(spec, eps=eps, dim=dim)
     if epoch_probing:
         backend = with_epochs(backend)

@@ -15,7 +15,7 @@ is exactly the operation density calibration (``repro.metrics.kdist``) and
 count-only maintenance need.
 
 The interface matches the other indexes (insert/delete/ball/coords_of/...),
-so any clusterer accepts it via ``index_factory``.
+so any clusterer accepts it via ``index=``.
 """
 
 from __future__ import annotations

@@ -55,8 +55,8 @@ TRACE_SCHEMA = {
             "type": "object",
             "additionalProperties": {"type": "integer", "minimum": 0},
         },
-        # Optional: PointStore occupancy gauges. Only columnar-layout runs
-        # carry it; ``occupancy`` is a ratio, the rest are integers.
+        # Optional: PointStore occupancy gauges, written by DISC.advance;
+        # ``occupancy`` is a ratio, the rest are integers.
         "store": {
             "type": "object",
             "required": list(STORE_FIELDS),

@@ -68,8 +68,8 @@ class StrideTrace:
         self.elapsed_s = 0.0
         self.phases: dict[str, float] = dict.fromkeys(PHASES, 0.0)
         self.index: IndexStats | None = None  # delta over the stride
-        # PointStore occupancy gauges at end of stride (columnar layout only;
-        # the object layout leaves this None and the key off the record).
+        # PointStore occupancy gauges at end of stride; DISC.advance always
+        # fills them in, a record built outside it leaves the key off.
         self.store: dict | None = None
         # Write-ahead-log counters at end of stride (WAL-enabled served
         # sessions only; batch runs leave this None and the key off).

@@ -4,7 +4,7 @@ DISC's exactness rests on three structural invariants that an incremental
 bug (or a bad restore) would silently violate long before the output looks
 obviously wrong:
 
-- **n_eps consistency** — every live record's cached neighbour count equals
+- **n_eps consistency** — every live point's cached neighbour count equals
   what the spatial index actually reports for its epsilon-ball;
 - **anchor validity** — every border point's anchor names a live core
   within epsilon (the channel through which borders resolve a cluster id);
@@ -24,8 +24,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.common.points import StreamPoint
 from repro.core.disc import DISC
+from repro.core.store import DELETED, NO_ID
 
 MAX_REPORTED = 8
 
@@ -34,37 +37,38 @@ def check_state(disc: DISC) -> list[str]:
     """Return violation descriptions for ``disc``'s current state ([] = ok)."""
     violations: list[str] = []
     state = disc.state
-    eps = disc.params.eps
-    live = [rec for rec in state.records.values() if not rec.deleted]
+    store = state.store
+    eps, tau = disc.params.eps, disc.params.tau
+    slots = store.live_slots()
+    slots = slots[(store.flags[slots] & DELETED) == 0]
+    pids = store.pid[slots].tolist()
+    coords = store.coords[slots].tolist()
+    n_eps = store.n_eps[slots]
 
     # n_eps consistency, batched through the index's hot-path layer.
-    counts = disc.index.count_ball_many([rec.coords for rec in live], eps)
-    for rec, expected in zip(live, counts):
-        if rec.n_eps != expected:
-            violations.append(
-                f"n_eps mismatch for point {rec.pid}: cached {rec.n_eps}, "
-                f"index reports {expected}"
-            )
+    counts = np.asarray(disc.index.count_ball_many(coords, eps), dtype=np.int64)
+    for i in np.flatnonzero(n_eps != counts).tolist():
+        violations.append(
+            f"n_eps mismatch for point {pids[i]}: cached {int(n_eps[i])}, "
+            f"index reports {int(counts[i])}"
+        )
 
     # Border anchors point at live cores within epsilon.
-    for rec in live:
-        if state.is_core(rec) or rec.c_core <= 0:
+    border = (n_eps < tau) & (store.c_core[slots] > 0)
+    for i in np.flatnonzero(border).tolist():
+        pid = pids[i]
+        anchor = int(store.anchor[slots[i]])
+        if anchor == NO_ID:
+            violations.append(f"border {pid} has no anchor")
             continue
-        if rec.anchor is None:
-            violations.append(f"border {rec.pid} has no anchor")
-            continue
-        anchor = state.records.get(rec.anchor)
-        if anchor is None or anchor.deleted:
+        a_slot = store.get_slot(anchor)
+        if a_slot is None or store.flags[a_slot] & DELETED:
+            violations.append(f"border {pid} anchored to absent point {anchor}")
+        elif store.n_eps[a_slot] < tau:
+            violations.append(f"border {pid} anchored to non-core {anchor}")
+        elif math.dist(coords[i], store.coords[a_slot].tolist()) > eps:
             violations.append(
-                f"border {rec.pid} anchored to absent point {rec.anchor}"
-            )
-        elif not state.is_core(anchor):
-            violations.append(
-                f"border {rec.pid} anchored to non-core {rec.anchor}"
-            )
-        elif math.dist(rec.coords, anchor.coords) > eps:
-            violations.append(
-                f"border {rec.pid} anchored to out-of-range core {rec.anchor}"
+                f"border {pid} anchored to out-of-range core {anchor}"
             )
 
     violations.extend(_forest_cycles(state.cids._parent))
@@ -113,10 +117,16 @@ def rebuild(disc: DISC) -> DISC:
         multi_starter=disc.multi_starter,
         epoch_probing=disc.epoch_probing,
     )
+    store = disc.state.store
+    slots = store.live_slots()
+    slots = slots[(store.flags[slots] & DELETED) == 0]
     points = [
-        StreamPoint(rec.pid, rec.coords, rec.time)
-        for rec in disc.state.records.values()
-        if not rec.deleted
+        StreamPoint(pid, tuple(row), time)
+        for pid, row, time in zip(
+            store.pid[slots].tolist(),
+            store.coords[slots].tolist(),
+            store.time[slots].tolist(),
+        )
     ]
     fresh.advance(points, ())
     # Attached only after the bulk re-insert so the trace keeps its

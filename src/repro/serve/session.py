@@ -570,29 +570,19 @@ class TenantSession:
             return
         clustering = clusterer.snapshot()
         state = clusterer.state
-        arena = state.columnar() if hasattr(state, "columnar") else None
-        if arena is not None:
-            # Columnar fast path: one masked slice instead of a per-record
-            # scan. The cores tuple's order is irrelevant to readers —
-            # classify() breaks ties by (distance, label, pid), not by
-            # iteration order.
-            slots = arena.live_slots()
-            mask = (arena.n_eps[slots] >= state.params.tau) & (
-                arena.cid[slots] != NO_ID
-            )
-            core_slots = slots[mask] if len(slots) else slots
-            pids = arena.pid[core_slots].tolist()
-            coords = arena.coords[core_slots].tolist()
-            cores = tuple(
-                (pid, tuple(row), clustering.label_of(pid))
-                for pid, row in zip(pids, coords)
-            )
-        else:
-            cores = tuple(
-                (pid, rec.coords, clustering.label_of(pid))
-                for pid, rec in state.records.items()
-                if state.is_core(rec) and rec.cid is not None
-            )
+        arena = state.store
+        # One masked slice over the live rows. The cores tuple's order is
+        # irrelevant to readers — classify() breaks ties by (distance, label,
+        # pid), not by iteration order.
+        slots = arena.live_slots()
+        mask = (arena.n_eps[slots] >= state.params.tau) & (arena.cid[slots] != NO_ID)
+        core_slots = slots[mask] if len(slots) else slots
+        pids = arena.pid[core_slots].tolist()
+        coords = arena.coords[core_slots].tolist()
+        cores = tuple(
+            (pid, tuple(row), clustering.label_of(pid))
+            for pid, row in zip(pids, coords)
+        )
         self.view = SessionView(
             self.supervisor.stride - 1, clustering, self.config.eps, cores
         )

@@ -37,7 +37,29 @@ def clustered_stream(
     return points
 
 
-def run_windowed(methods, points, spec: WindowSpec, checker=None):
+def churn_with_noise(seed: int, n: int) -> list[StreamPoint]:
+    """Three tight blobs on a line under 30% uniform noise."""
+    rng = random.Random(seed)
+    points = []
+    for i in range(n):
+        if rng.random() < 0.3:
+            coords = (rng.uniform(-2.0, 8.0), rng.uniform(-2.0, 8.0))
+        else:
+            cx = rng.choice([0.0, 3.0, 6.0])
+            coords = (cx + rng.gauss(0, 0.4), rng.gauss(0, 0.4))
+        points.append(StreamPoint(i, coords, float(i)))
+    return points
+
+
+def point_field(state, name: str, pid: int):
+    """``state.store.<name>`` at ``pid``'s row, as a plain Python value."""
+    store = state.store
+    return getattr(store, name)[store.slot_of(pid)].tolist()
+
+
+def run_windowed(
+    methods, points, spec: WindowSpec, checker=None, *, time_based: bool = False
+):
     """Feed ``points`` through ``spec`` into every method in lockstep.
 
     ``checker(window_points)`` is invoked after every slide with the live
@@ -46,7 +68,7 @@ def run_windowed(methods, points, spec: WindowSpec, checker=None):
     from repro.window.sliding import SlidingWindow
 
     window: list[StreamPoint] = []
-    for delta_in, delta_out in SlidingWindow(spec).slides(points):
+    for delta_in, delta_out in SlidingWindow(spec, time_based).slides(points):
         window.extend(delta_in)
         out_ids = {sp.pid for sp in delta_out}
         window = [sp for sp in window if sp.pid not in out_ids]

@@ -6,7 +6,7 @@ from repro.common.errors import StreamOrderError
 from repro.common.points import StreamPoint
 from repro.core.disc import DISC
 from repro.index.stats import IndexStats
-from tests.conftest import clustered_stream
+from tests.conftest import clustered_stream, point_field
 
 
 def sp(pid, x, y=0.0):
@@ -15,11 +15,19 @@ def sp(pid, x, y=0.0):
 
 def state_fingerprint(disc):
     snapshot = disc.snapshot()
+    store = disc.state.store
+    slots = store.live_slots()
     return (
         dict(snapshot.labels),
         {pid: cat for pid, cat in snapshot.categories.items()},
         len(disc.index),
-        {rec.pid: (rec.n_eps, rec.c_core) for rec in disc.state.live_records()},
+        list(
+            zip(
+                store.pid[slots].tolist(),
+                store.n_eps[slots].tolist(),
+                store.c_core[slots].tolist(),
+            )
+        ),
     )
 
 
@@ -37,7 +45,7 @@ class TestAtomicAdvance:
             disc.advance(batch, [sp(99999, 0)])
         assert state_fingerprint(disc) == before
         # The rejected arrivals were not half-applied either.
-        assert 1000 not in disc.state.records
+        assert 1000 not in disc.state.store
 
     def test_duplicate_insert_leaves_state_intact(self):
         disc = self.setup_disc()
@@ -49,7 +57,7 @@ class TestAtomicAdvance:
     def test_double_delete_in_one_stride_rejected(self):
         disc = self.setup_disc()
         before = state_fingerprint(disc)
-        victim = sp(0, *disc.state.records[0].coords)
+        victim = sp(0, *point_field(disc.state, "coords", 0))
         with pytest.raises(StreamOrderError):
             disc.advance((), [victim, victim])
         assert state_fingerprint(disc) == before

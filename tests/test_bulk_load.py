@@ -80,10 +80,10 @@ class TestBulkLoad:
         assert bulk.stats.nodes_accessed <= grown.stats.nodes_accessed
 
     def test_usable_by_disc(self):
-        # index_factory returning a pre-packed empty tree is still valid.
+        # A factory returning a pre-packed empty tree is still valid.
         from repro.core.disc import DISC
         from tests.conftest import clustered_stream
 
-        disc = DISC(0.7, 4, index_factory=lambda: RTree.bulk_load([]))
+        disc = DISC(0.7, 4, index=lambda: RTree.bulk_load([]))
         disc.advance(clustered_stream(1, 100), ())
         assert disc.snapshot().num_clusters >= 1

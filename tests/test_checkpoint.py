@@ -59,6 +59,16 @@ class TestRoundTrip:
         copy = restored.snapshot()
         assert original.categories == copy.categories
 
+    def test_restore_reemits_identical_payload(self):
+        disc = DISC(0.7, 4)
+        disc.advance(clustered_stream(12, 150), ())
+        payload = to_checkpoint(disc)
+        restored = from_checkpoint(payload)
+        assert restored.labels() == disc.labels()
+        assert json.dumps(to_checkpoint(restored), sort_keys=True) == json.dumps(
+            payload, sort_keys=True
+        )
+
     def test_json_roundtrip(self):
         disc = DISC(0.7, 4)
         disc.advance(clustered_stream(2, 100), ())
@@ -174,30 +184,6 @@ class TestFormatVersions:
         run_slides(disc, slides[6:])
         run_slides(restored, slides[6:])
         assert restored.labels() == disc.labels()
-
-    @pytest.mark.parametrize("store", ["columnar", "object"])
-    def test_restore_onto_either_layout(self, store):
-        disc = DISC(0.7, 4)
-        disc.advance(clustered_stream(12, 150), ())
-        payload = to_checkpoint(disc)
-        restored = from_checkpoint(payload, store=store)
-        assert restored.state.store_kind == store
-        assert restored.labels() == disc.labels()
-        assert json.dumps(to_checkpoint(restored), sort_keys=True) == json.dumps(
-            payload, sort_keys=True
-        )
-
-    def test_object_layout_emits_identical_v3_payload(self):
-        spec = WindowSpec(window=100, stride=25)
-        points = clustered_stream(13, 250)
-        slides = materialize_slides(points, spec)
-        columnar = DISC(0.7, 4)
-        legacy = DISC(0.7, 4, store="object")
-        run_slides(columnar, slides[:7])
-        run_slides(legacy, slides[:7])
-        assert json.dumps(to_checkpoint(columnar), sort_keys=True) == json.dumps(
-            to_checkpoint(legacy), sort_keys=True
-        )
 
 
 class TestErrors:

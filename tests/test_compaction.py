@@ -4,7 +4,7 @@ import random
 
 from repro.common.points import StreamPoint
 from repro.core.disc import DISC
-from repro.core.state import PointRecord
+from repro.core.store import NO_ID
 from repro.metrics.compare import assert_equivalent
 from repro.baselines.dbscan import SlidingDBSCAN
 
@@ -82,17 +82,22 @@ class TestCompaction:
         # (hundreds over 200 strides); with it, it tracks live clusters.
         assert len(disc.state.cids) <= disc.snapshot().num_clusters + 40
 
-    def test_vectorized_remap_matches_object_layout(self):
-        """Regression: the one-pass columnar cid remap equals the per-record
-        loop — same labels, same forest size, same carried-forward counter."""
-        rng_a, rng_b = random.Random(7), random.Random(7)
-        pair = []
-        for layout, rng in (("columnar", rng_a), ("object", rng_b)):
-            disc = DISC(0.6, 4, store=layout)
-            disc.advance(churn_stream(rng, 150), ())
-            size = disc.state.compact_cids()
-            pair.append((disc.labels(), size, disc.state.cids._next_id))
-        assert pair[0] == pair[1]
+    def test_vectorized_remap_rewrites_cids_to_roots(self):
+        """The one-pass cid remap points every live core straight at its
+        root: labels unchanged, one forest entry per live root, and the id
+        counter carried forward."""
+        disc = DISC(0.6, 4)
+        disc.advance(churn_stream(random.Random(7), 150), ())
+        labels = disc.labels()
+        next_id = disc.state.cids._next_id
+        size = disc.state.compact_cids()
+        assert disc.labels() == labels
+        store = disc.state.store
+        slots = store.live_slots()
+        raw = store.cid[slots[store.cid[slots] != NO_ID]]
+        assert {disc.state.cids.find(int(c)) for c in raw} == set(raw.tolist())
+        assert size == len(set(raw.tolist()))
+        assert disc.state.cids._next_id == next_id
 
     def test_compact_on_columnar_skips_lingering_rows(self):
         """Compaction must only remap live rows; mid-run it is always called
@@ -116,17 +121,6 @@ class TestCompaction:
         before = disc.labels()
         disc.state.compact_cids()
         assert set(disc.labels()) == set(before)
-
-    def test_point_record_repr_exposes_anchor_and_time(self):
-        """Regression for repr drift: anchor/time were missing from the
-        object-layout record repr while the columnar view showed them."""
-        rec = PointRecord(4, (1.0, 2.0), 7.5)
-        rec.anchor = 2
-        rec.cid = 9
-        text = repr(rec)
-        assert "anchor=2" in text
-        assert "time=7.5" in text
-        assert "cid=9" in text
 
     def test_exactness_survives_compaction_cycles(self):
         rng = random.Random(4)

@@ -7,7 +7,8 @@ from repro.common.errors import StreamOrderError
 from repro.common.points import StreamPoint
 from repro.common.snapshot import Category
 from repro.core.disc import DISC
-from repro.core.state import PointRecord, WindowState
+from repro.core.state import WindowState
+from repro.core.store import DELETED, NO_ID
 from repro.index.linear import LinearScanIndex
 
 
@@ -40,8 +41,8 @@ class TestFacade:
         assert "msbfs=False" in repr(disc)
         assert "eps=1.0" in repr(disc)
 
-    def test_custom_index_factory(self):
-        disc = DISC(eps=1.0, tau=3, index_factory=LinearScanIndex)
+    def test_custom_index_from_factory(self):
+        disc = DISC(eps=1.0, tau=3, index=LinearScanIndex)
         disc.advance(blob(0, 0, 0), ())
         assert isinstance(disc.index, LinearScanIndex)
         assert disc.snapshot().num_clusters == 1
@@ -99,32 +100,33 @@ class TestFacade:
         assert disc.snapshot().num_clusters == 1
 
 
+def core_and_border():
+    """A state holding core 1 (with a cluster id) and border 2 anchored to it."""
+    state = WindowState(ClusteringParams(1.0, 3))
+    store = state.store
+    core, border = store.bulk_insert([1, 2], [(0.0, 0.0), (0.5, 0.0)], [0.0, 0.0])
+    store.n_eps[core] = 3
+    store.cid[core] = state.cids.make()
+    store.n_eps[border] = 2
+    store.c_core[border] = 1
+    store.anchor[border] = 1
+    return state, border
+
+
 class TestWindowState:
     def test_category_of(self):
-        state = WindowState(ClusteringParams(1.0, 3))
-        rec = PointRecord(1, (0.0, 0.0))
-        rec.n_eps = 3
-        assert state.category_of(rec) is Category.CORE
-        rec.n_eps = 2
-        rec.c_core = 1
-        assert state.category_of(rec) is Category.BORDER
-        rec.c_core = 0
-        assert state.category_of(rec) is Category.NOISE
-        rec.deleted = True
-        assert state.category_of(rec) is Category.DELETED
-
-    def test_get_unknown_raises(self):
-        state = WindowState(ClusteringParams(1.0, 3))
-        with pytest.raises(StreamOrderError):
-            state.get(9)
+        state, border = core_and_border()
+        snapshot = state.snapshot()
+        assert snapshot.category_of(1) is Category.CORE
+        assert snapshot.category_of(2) is Category.BORDER
+        assert snapshot.label_of(2) == snapshot.label_of(1)
+        state.store.c_core[border] = 0
+        assert state.snapshot().category_of(2) is Category.NOISE
 
     def test_live_records_skip_deleted(self):
-        state = WindowState(ClusteringParams(1.0, 3))
-        alive = PointRecord(1, (0.0, 0.0))
-        gone = PointRecord(2, (1.0, 1.0))
-        gone.deleted = True
-        state.records = {1: alive, 2: gone}
-        assert [r.pid for r in state.live_records()] == [1]
+        state, border = core_and_border()
+        state.store.flags[border] |= DELETED
+        assert state.snapshot().categories == {1: Category.CORE}
 
 
 class TestBorderInvariants:
@@ -145,11 +147,11 @@ class TestBorderInvariants:
             out = alive[:10] if len(alive) > 60 else []
             alive = alive[len(out):] + batch
             disc.advance(batch, out)
-            for rec in disc.state.live_records():
-                category = disc.state.category_of(rec)
-                if category is Category.BORDER:
-                    anchor = disc.state.records[rec.anchor]
-                    assert disc.state.is_core(anchor)
-                    assert not anchor.deleted
-                elif category is Category.CORE:
-                    assert rec.cid is not None
+            store = disc.state.store
+            slots = store.live_slots()
+            core = store.n_eps[slots] >= 4
+            assert (store.cid[slots[core]] != NO_ID).all()
+            border = ~core & (store.c_core[slots] > 0)
+            anchors = store.slots_of(store.anchor[slots[border]].tolist())
+            assert (store.n_eps[anchors] >= 4).all()
+            assert not (store.flags[anchors] & DELETED).any()

@@ -17,7 +17,9 @@ from repro.common.points import StreamPoint
 from repro.core.collect import collect
 from repro.core.msbfs import check_connectivity
 from repro.core.state import WindowState
+from repro.core.store import WAS_CORE
 from repro.index.rtree import RTree
+from tests.conftest import point_field
 
 FLAG_GRID = [
     (True, True),
@@ -125,7 +127,9 @@ class TestConnectivity:
         # One side was exhausted; the other is the surviving search.
         exhausted_members = {pid for comp in result.exhausted for pid in comp}
         survivor_members = set(result.survivor)
-        all_cores = {pid for pid, _ in left + right if state.is_core(state.records[pid])}
+        all_cores = {
+            pid for pid, _ in left + right if point_field(state, "n_eps", pid) >= 3
+        }
         assert exhausted_members <= all_cores
         assert survivor_members <= all_cores
         assert not (exhausted_members & survivor_members)
@@ -158,7 +162,7 @@ class TestConnectivity:
         points = [(0, (0.0, 0.0)), (1, (0.4, 0.0)), (2, (0.8, 0.0)),
                   (3, (0.8, 0.45))]
         state, index = build_state(points, 0.5, 3)
-        assert not state.is_core(state.records[3])
+        assert point_field(state, "n_eps", 3) < 3
         touched = []
         check_connectivity(
             index,
@@ -183,26 +187,7 @@ class TestConnectivity:
 
 
 class TestCollectComponent:
-    def test_full_component_membership(self):
-        from repro.core.msbfs import collect_component
-
-        points = [(i, (0.3 * i, 0.0)) for i in range(10)]
-        points += [(100 + i, (50.0 + 0.3 * i, 0.0)) for i in range(5)]
-        state, index = build_state(points, 0.5, 2)
-        component = collect_component(index, state, 0)
-        assert sorted(component) == list(range(10))
-
-    def test_on_border_callback(self):
-        from repro.core.msbfs import collect_component
-
-        points = [(0, (0.0, 0.0)), (1, (0.4, 0.0)), (2, (0.8, 0.0)),
-                  (3, (0.8, 0.45))]
-        state, index = build_state(points, 0.5, 3)
-        touched = []
-        collect_component(
-            index, state, 1, on_border=lambda b, c: touched.append(b)
-        )
-        assert 3 in touched
+    """Two retro classes carving one old cluster: the kept-id conflict."""
 
     def test_conflict_path_is_exercised_by_multiclass_split(self):
         # White-box: the end-of-stride claim settlement must actually run a
@@ -243,9 +228,9 @@ class TestCollectComponent:
         points = [(i, (0.3 * i, 0.0)) for i in range(6)]
         points += [(100 + i, (50.0 + 0.3 * i, 0.0)) for i in range(6)]
         state, index = build_state(points, 0.5, 2)
-        for rec in state.records.values():
-            rec.cid = 7
-            rec.was_core = True
+        slots = state.store.live_slots()
+        state.store.cid[slots] = 7
+        state.store.flags[slots] |= WAS_CORE
         kept = {7: [0, 100]}
         events = _settle_claims(
             state,
@@ -257,8 +242,8 @@ class TestCollectComponent:
             on_border=None,
         )
         assert len(events) == 1
-        left = state.cids.find(state.records[0].cid)
-        right = state.cids.find(state.records[100].cid)
+        left = state.cids.find(point_field(state, "cid", 0))
+        right = state.cids.find(point_field(state, "cid", 100))
         assert left != right
 
     def test_settle_claims_keeps_connected_claimants(self):
@@ -266,9 +251,9 @@ class TestCollectComponent:
 
         points = [(i, (0.3 * i, 0.0)) for i in range(12)]
         state, index = build_state(points, 0.5, 2)
-        for rec in state.records.values():
-            rec.cid = 7
-            rec.was_core = True
+        slots = state.store.live_slots()
+        state.store.cid[slots] = 7
+        state.store.flags[slots] |= WAS_CORE
         kept = {7: [0, 11]}
         events = _settle_claims(
             state,
@@ -280,8 +265,8 @@ class TestCollectComponent:
             on_border=None,
         )
         assert events == []
-        assert state.cids.find(state.records[0].cid) == state.cids.find(
-            state.records[11].cid
+        assert state.cids.find(point_field(state, "cid", 0)) == state.cids.find(
+            point_field(state, "cid", 11)
         )
 
 

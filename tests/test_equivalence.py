@@ -1,9 +1,10 @@
 """The paper's central claim, end to end: DISC == DBSCAN, always.
 
 Randomized sliding-window streams are replayed into DISC (in every
-optimization configuration), IncDBSCAN and EXTRA-N; after every single
-stride all four must be equivalent to from-scratch DBSCAN under the
-contract of DESIGN.md §3.4.
+optimization configuration and on every index backend), IncDBSCAN and
+EXTRA-N; after every single stride all four must be equivalent to
+from-scratch DBSCAN under the contract of DESIGN.md §3.4, and every DISC's
+incremental bookkeeping must pass the invariant checker.
 """
 
 import pytest
@@ -13,11 +14,14 @@ from repro.baselines.extran import ExtraN
 from repro.baselines.incdbscan import IncrementalDBSCAN
 from repro.common.config import WindowSpec
 from repro.core.disc import DISC
+from repro.datasets.maze import maze_stream
+from repro.index.registry import available_indexes
 from repro.metrics.compare import assert_equivalent
-from tests.conftest import clustered_stream, run_windowed
+from repro.runtime.invariants import check_state
+from tests.conftest import churn_with_noise, clustered_stream, run_windowed
 
 
-def check_stream(methods, reference, points, spec):
+def check_stream(methods, reference, points, spec, *, time_based=False):
     def checker(window):
         coords = {p.pid: p.coords for p in window}
         ref_snapshot = reference.snapshot()
@@ -25,8 +29,12 @@ def check_stream(methods, reference, points, spec):
             assert_equivalent(
                 method.snapshot(), ref_snapshot, coords, reference.params
             )
+            if isinstance(method, DISC):
+                assert check_state(method) == []
 
-    run_windowed(list(methods) + [reference], points, spec, checker)
+    run_windowed(
+        list(methods) + [reference], points, spec, checker, time_based=time_based
+    )
 
 
 class TestDiscEquivalence:
@@ -75,6 +83,35 @@ class TestDiscEquivalence:
             6, 240, centers=((0.0, 0.0),), noise_fraction=0.0
         )
         check_stream([DISC(0.7, 4)], SlidingDBSCAN(0.7, 4), points, spec)
+
+    @pytest.mark.parametrize("index", available_indexes())
+    def test_maze_stream(self, index):
+        points, _ = maze_stream(600, seed=3)
+        spec = WindowSpec(window=200, stride=50)
+        check_stream(
+            [DISC(0.6, 4, index=index)], SlidingDBSCAN(0.6, 4), points, spec
+        )
+
+    @pytest.mark.parametrize("index", available_indexes())
+    def test_churn_with_noise(self, index):
+        spec = WindowSpec(window=90, stride=18)
+        check_stream(
+            [DISC(0.55, 3, index=index)],
+            SlidingDBSCAN(0.55, 3),
+            churn_with_noise(9, 400),
+            spec,
+        )
+
+    @pytest.mark.parametrize("index", available_indexes())
+    def test_time_based_window(self, index):
+        spec = WindowSpec(window=80.0, stride=20.0)
+        check_stream(
+            [DISC(0.7, 4, index=index)],
+            SlidingDBSCAN(0.7, 4),
+            clustered_stream(22, 240),
+            spec,
+            time_based=True,
+        )
 
 
 class TestIncDBSCANEquivalence:

@@ -99,7 +99,7 @@ class TestVectorGrid:
         disc = DISC(
             eps,
             tau,
-            index_factory=lambda: VectorGridIndex(eps, 2),
+            index=lambda: VectorGridIndex(eps, 2),
             epoch_probing=False,
         )
         reference = SlidingDBSCAN(eps, tau)

@@ -10,30 +10,30 @@ import random
 
 from repro.baselines.dbscan import SlidingDBSCAN
 from repro.common.points import StreamPoint
-from repro.common.snapshot import Category
 from repro.core.disc import DISC
+from repro.core.store import DELETED
 from repro.metrics.compare import assert_equivalent
 
 
 def audit_internal_state(disc):
     """Bookkeeping invariants that must hold between strides."""
-    state = disc.state
-    for rec in state.live_records():
-        category = state.category_of(rec)
+    store = disc.state.store
+    eps, tau = disc.params.eps, disc.params.tau
+    slots = store.live_slots()
+    assert not (store.flags[slots] & DELETED).any(), "exited row outlived its stride"
+    for slot in slots.tolist():
+        pid = int(store.pid[slot])
+        ball = [qid for qid, _ in disc.index.ball(store.coords[slot].tolist(), eps)]
         # n_eps is exact.
-        true_n = len(disc.index.ball(rec.coords, disc.params.eps))
-        assert rec.n_eps == true_n, f"n_eps drift for {rec.pid}"
+        assert store.n_eps[slot] == len(ball), f"n_eps drift for {pid}"
         # c_core is exact.
         true_c = sum(
-            1
-            for qid, _ in disc.index.ball(rec.coords, disc.params.eps)
-            if qid != rec.pid and state.is_core(state.records[qid])
+            1 for qid in ball if qid != pid and store.n_eps[store.slot_of(qid)] >= tau
         )
-        assert rec.c_core == true_c, f"c_core drift for {rec.pid}"
-        if category is Category.BORDER:
-            anchor = state.records[rec.anchor]
-            assert state.is_core(anchor)
-    assert len(disc.index) == sum(1 for _ in state.live_records())
+        assert store.c_core[slot] == true_c, f"c_core drift for {pid}"
+        if store.n_eps[slot] < tau and true_c > 0:  # a border: its anchor is core
+            assert store.n_eps[store.slot_of(int(store.anchor[slot]))] >= tau
+    assert len(disc.index) == len(slots)
 
 
 def test_sustained_churn_stays_exact():

@@ -22,6 +22,7 @@ from repro.index.linear import LinearScanIndex
 from repro.index.rtree import RTree
 from repro.metrics.ari import adjusted_rand_index
 from repro.metrics.compare import assert_equivalent
+from tests.conftest import point_field
 
 coordinate = st.floats(
     min_value=-8.0, max_value=8.0, allow_nan=False, allow_infinity=False
@@ -159,9 +160,7 @@ class TestMsBfsAgainstNetworkx:
             [StreamPoint(pid, coords, 0.0) for pid, coords in points],
             (),
         )
-        cores = [
-            pid for pid, _ in points if state.records[pid].n_eps >= tau
-        ]
+        cores = [pid for pid, _ in points if point_field(state, "n_eps", pid) >= tau]
         if len(cores) < 2:
             return
         graph = nx.Graph()

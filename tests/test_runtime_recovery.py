@@ -257,13 +257,11 @@ class _CorruptAt(RuntimeHooks):
         # Newest record that stays non-core even after the drift: it will
         # not expire this stride, and the nudge cannot flip its category
         # mid-advance — only the cached count goes stale.
-        victims = [
-            rec
-            for rec in disc.state.records.values()
-            if not rec.deleted and rec.n_eps < disc.params.tau - 1
-        ]
-        victim = max(victims, key=lambda rec: rec.pid)
-        victim.n_eps += 1  # silent corruption: cached count drifts
+        store = disc.state.store
+        slots = store.live_slots()
+        victims = slots[store.n_eps[slots] < disc.params.tau - 1]
+        victim = store.slot_of(int(store.pid[victims].max()))
+        store.n_eps[victim] += 1  # silent corruption: cached count drifts
 
 
 class TestInvariantChecker:
@@ -275,24 +273,18 @@ class TestInvariantChecker:
     def test_detects_neps_drift(self):
         disc = DISC(EPS, TAU)
         disc.advance(clustered_stream(20, 100), ())
-        rec = next(r for r in disc.state.records.values() if not r.deleted)
-        rec.n_eps += 3
+        disc.state.store.n_eps[disc.state.store.live_slots()[0]] += 3
         violations = check_state(disc)
         assert any("n_eps mismatch" in v for v in violations)
 
     def test_detects_dangling_anchor(self):
         disc = DISC(EPS, TAU)
         disc.advance(clustered_stream(21, 150), ())
-        border = next(
-            (
-                r
-                for r in disc.state.records.values()
-                if not r.deleted and not disc.state.is_core(r) and r.c_core > 0
-            ),
-            None,
-        )
-        assert border is not None, "stream should produce at least one border"
-        border.anchor = 10**9
+        store = disc.state.store
+        slots = store.live_slots()
+        borders = slots[(store.n_eps[slots] < TAU) & (store.c_core[slots] > 0)]
+        assert len(borders), "stream should produce at least one border"
+        store.anchor[borders[0]] = 10**9
         violations = check_state(disc)
         assert any("absent point" in v for v in violations)
 
@@ -319,9 +311,9 @@ class TestInvariantChecker:
         # Healed state is clean and clustering-equivalent to the reference
         # (cluster ids are re-minted by the rebuild, so compare structure).
         assert check_state(supervisor.clusterer) == []
-        coords = {
-            rec.pid: rec.coords
-            for rec in supervisor.clusterer.state.records.values()
-            if not rec.deleted
-        }
+        store = supervisor.clusterer.state.store
+        slots = store.live_slots()
+        coords = dict(
+            zip(store.pid[slots].tolist(), map(tuple, store.coords[slots].tolist()))
+        )
         assert_equivalent(final, reference, coords, supervisor.clusterer.params)

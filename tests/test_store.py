@@ -1,9 +1,8 @@
-"""Unit tests for the columnar PointStore arena and its record façade."""
+"""Unit tests for the columnar PointStore arena."""
 
 import numpy as np
 import pytest
 
-from repro.core.state import PointRecord, WindowState
 from repro.core.store import (
     COUNTER_FIELDS,
     DELETED,
@@ -11,10 +10,7 @@ from repro.core.store import (
     SLAB_SLOTS,
     WAS_CORE,
     PointStore,
-    RecordMap,
-    RecordView,
 )
-from repro.common.config import ClusteringParams
 
 
 def fill(store, n, start=0):
@@ -48,7 +44,7 @@ class TestSlabGrowth:
         fill(store, 2 * SLAB_SLOTS, start=10)  # forces reallocation
         assert int(store.n_eps[store.slot_of(3)]) == 7
         assert int(store.cid[store.slot_of(4)]) == 42
-        assert store.view(5).coords == (5.0, 0.0)
+        assert store.coords[store.slot_of(5)].tolist() == [5.0, 0.0]
         store.check_invariants()
 
     def test_steady_state_never_grows(self):
@@ -76,16 +72,16 @@ class TestFreeListRecycling:
     def test_fresh_rows_are_reset_after_recycling(self):
         store = PointStore()
         fill(store, 4)
-        view = store.view(1)
-        view.n_eps = 9
-        view.cid = 3
-        view.anchor = 0
-        view.was_core = True
+        slot = store.slot_of(1)
+        store.n_eps[slot] = 9
+        store.cid[slot] = 3
+        store.anchor[slot] = 0
+        store.flags[slot] |= WAS_CORE
         store.free([1])
         fill(store, 1, start=50)
-        rec = store.view(50)
-        assert (rec.n_eps, rec.c_core, rec.cid, rec.anchor) == (1, 0, None, None)
-        assert not rec.was_core and not rec.deleted
+        slot = store.slot_of(50)
+        row = (store.n_eps, store.c_core, store.cid, store.anchor, store.flags)
+        assert [int(col[slot]) for col in row] == [1, 0, NO_ID, NO_ID, 0]
 
     def test_counters_shape(self):
         store = PointStore()
@@ -112,7 +108,7 @@ class TestSlotStability:
         fill(store, 47, start=1000)  # recycle every freed slot
         for pid, slot in pinned.items():
             assert store.slot_of(pid) == slot
-            assert store.view(pid).pid == pid
+            assert int(store.pid[slot]) == pid
         store.check_invariants()
 
     def test_insertion_order_iteration(self):
@@ -128,66 +124,8 @@ class TestSlotStability:
         slots = fill(store, 3)
         store.mark_deleted(slots[:1])
         assert 0 in store
-        assert store.view(0).deleted
         assert int(store.n_eps[slots[0]]) == 0
         assert bool(store.flags[slots[0]] & DELETED)
-
-
-class TestRecordFacade:
-    def test_view_roundtrips_every_field(self):
-        store = PointStore()
-        fill(store, 1)
-        rec = store.view(0)
-        rec.n_eps, rec.c_core, rec.cid, rec.anchor = 5, 2, 11, 0
-        rec.was_core = True
-        assert (rec.n_eps, rec.c_core, rec.cid, rec.anchor) == (5, 2, 11, 0)
-        rec.cid = None
-        rec.anchor = None
-        assert rec.cid is None and rec.anchor is None
-        assert int(store.cid[store.slot_of(0)]) == NO_ID
-
-    def test_record_map_is_a_mapping(self):
-        store = PointStore()
-        fill(store, 3)
-        records = RecordMap(store)
-        assert len(records) == 3
-        assert 1 in records and 9 not in records
-        assert records.get(9) is None
-        assert [pid for pid, _ in records.items()] == [0, 1, 2]
-        assert [rec.pid for rec in records.values()] == [0, 1, 2]
-        del records[1]
-        assert len(records) == 2
-
-    def test_window_state_layouts(self):
-        params = ClusteringParams(eps=0.5, tau=3)
-        columnar = WindowState(params)
-        assert columnar.store_kind == "columnar"
-        assert isinstance(columnar.records, RecordMap)
-        assert columnar.columnar() is columnar.store
-        legacy = WindowState(params, store="object")
-        assert legacy.store_kind == "object"
-        assert legacy.columnar() is None
-        with pytest.raises(ValueError):
-            WindowState(params, store="mystery")
-
-    def test_columnar_guard_detects_replaced_records(self):
-        """Tests that swap in a plain dict must fall back to generic paths."""
-        state = WindowState(ClusteringParams(eps=0.5, tau=3))
-        state.records = {}
-        assert state.columnar() is None
-
-    def test_reprs_expose_anchor_and_time(self):
-        """Regression: both record reprs must show anchor and time."""
-        store = PointStore()
-        fill(store, 1)
-        view = store.view(0)
-        view.anchor = 7
-        text = repr(view)
-        assert "anchor=7" in text and "time=0.0" in text
-        rec = PointRecord(1, (0.0, 0.0), 2.5)
-        rec.anchor = 7
-        text = repr(rec)
-        assert "anchor=7" in text and "time=2.5" in text
 
 
 class TestInvariants:
@@ -197,9 +135,8 @@ class TestInvariants:
         store.flags[slots[0]] |= WAS_CORE
         store.mark_deleted(slots[:1])
         assert bool(store.flags[slots[0]] & WAS_CORE)
-        view = store.view(0)
-        view.deleted = False
-        assert view.was_core and not view.deleted
+        store.flags[slots[0]] &= ~DELETED
+        assert store.flags[slots[0]] == WAS_CORE
 
     def test_slots_of_batches(self):
         store = PointStore()
