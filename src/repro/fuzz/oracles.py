@@ -10,7 +10,7 @@ correctness contract:
 - ``permutation`` — reordering points that share a timestamp (within one
   stride block, for count-based windows) never changes the clustering;
 - ``classify`` — ad-hoc classification answers are invariant under the
-  iteration order of the core set (the tie-break contract of
+  row order of the view's core columns (the tie-break contract of
   :meth:`repro.serve.session.SessionView.classify`);
 - ``checkpoint`` — kill the supervised run at sampled fault points
   (:func:`repro.runtime.chaos.enumerate_fault_points`), resume from the
@@ -39,7 +39,7 @@ from pathlib import Path
 from repro.baselines.dbscan import SlidingDBSCAN
 from repro.common.config import WindowSpec
 from repro.common.points import StreamPoint
-from repro.common.snapshot import Category, Clustering
+from repro.common.snapshot import Clustering
 from repro.core.disc import DISC
 from repro.fuzz.scenarios import Scenario
 from repro.metrics.compare import EquivalenceError, assert_equivalent
@@ -243,35 +243,26 @@ def oracle_permutation(scenario: Scenario, backend: str) -> list[OracleFailure]:
 
 
 def oracle_classify(scenario: Scenario, backend: str) -> list[OracleFailure]:
-    """Ad-hoc classification is invariant to the core set's iteration order."""
+    """Ad-hoc classification is invariant to the row order of the core columns."""
     if not scenario.probes:
         return []
     disc = DISC(scenario.eps, scenario.tau, index=backend)
-    coords: dict[int, tuple[float, ...]] = {}
     rng = random.Random(scenario.seed ^ 0xC1A55)
     failures: list[OracleFailure] = []
     for stride, (delta_in, delta_out) in enumerate(
         materialize_slides(scenario.points, _spec(scenario), scenario.time_based)
     ):
         disc.advance(delta_in, delta_out)
-        for point in delta_out:
-            coords.pop(point.pid, None)
-        for point in delta_in:
-            coords[point.pid] = tuple(point.coords)
-        clustering = disc.snapshot()
-        cores = tuple(
-            (pid, coords[pid], clustering.label_of(pid))
-            for pid, cat in clustering.categories.items()
-            if cat is Category.CORE
-        )
-        if len(cores) < 2:
+        base = SessionView.from_state(stride, disc.snapshot(), disc.state)
+        n_cores = len(base.core_pids)
+        if n_cores < 2:
             continue
-        shuffled = list(cores)
+        columns = (base.core_pids, base.core_coords, base.core_labels)
+        shuffled = list(range(n_cores))
         rng.shuffle(shuffled)
-        orders = (cores, tuple(reversed(cores)), tuple(shuffled))
-        views = [
-            SessionView(stride, clustering, scenario.eps, order)
-            for order in orders
+        views = [base] + [
+            SessionView(stride, base.clustering, base.eps, *(c[order] for c in columns))
+            for order in (slice(None, None, -1), shuffled)
         ]
         for probe in scenario.probes:
             answers = [view.classify(probe) for view in views]

@@ -47,8 +47,8 @@ class RuntimeHooks:
     def before_stride(self, stride: int) -> None:
         """Called at the boundary before stride ``stride`` is processed."""
 
-    def after_stride(self, stride: int, summary) -> None:
-        """Called after stride ``stride`` completed (pre-checkpoint)."""
+    def after_stride(self, stride: int, summary, clustering) -> None:
+        """Called after stride ``stride`` closed (pre-checkpoint), with its snapshot."""
 
     def before_checkpoint(self, stride: int) -> None:
         """Called just before a checkpoint for ``stride`` is written.

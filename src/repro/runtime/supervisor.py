@@ -279,8 +279,10 @@ class Supervisor:
         self.stats.strides += 1
         if self.check_invariants:
             self._verify_or_rebuild()
-        self.hooks.after_stride(self.stride - 1, summary)
-        return self.clusterer.snapshot(), summary
+        # One snapshot per stride, shared by the hooks and the caller.
+        clustering = self.clusterer.snapshot()
+        self.hooks.after_stride(self.stride - 1, summary, clustering)
+        return clustering, summary
 
     def _verify_or_rebuild(self) -> None:
         violations = check_state(self.clusterer)

@@ -104,6 +104,10 @@ async def _dispatch_op(
     if op == "QUERY":
         session = service.get(_session_name(frame))
         session.queries += 1
+        try:
+            pid = int(frame["pid"]) if "pid" in frame else None
+        except (TypeError, ValueError) as exc:
+            raise ProtocolError("bad-request", f"bad pid: {exc}") from exc
         if "as_of" in frame:
             spec = frame["as_of"]
             if not isinstance(spec, dict) or not (
@@ -119,11 +123,7 @@ async def _dispatch_op(
             except (TypeError, ValueError) as exc:
                 raise ProtocolError("bad-request", f"bad as_of: {exc}") from exc
             payload = session.as_of(stride=stride, time=time)
-            if "pid" in frame:
-                try:
-                    pid = int(frame["pid"])
-                except (TypeError, ValueError) as exc:
-                    raise ProtocolError("bad-request", f"bad pid: {exc}") from exc
+            if pid is not None:
                 key = str(pid)
                 payload = {
                     "stride": payload["stride"],
@@ -134,21 +134,21 @@ async def _dispatch_op(
                 }
             return protocol.ok_response(op, rid, session=session.name, **payload)
         view = session.view
-        if "pid" in frame:
-            try:
-                pid = int(frame["pid"])
-            except (TypeError, ValueError) as exc:
-                raise ProtocolError("bad-request", f"bad pid: {exc}") from exc
+        if pid is not None:
             return protocol.ok_response(op, rid, **view.membership(pid))
         if "coords" in frame:
             coords = frame["coords"]
-            try:
-                coords = tuple(float(c) for c in coords)
-            except (TypeError, ValueError) as exc:
-                raise ProtocolError("bad-request", f"bad coords: {exc}") from exc
-            if not coords:
-                raise ProtocolError("bad-request", "coords must be non-empty")
-            return protocol.ok_response(op, rid, **view.classify(coords))
+            # A non-empty JSON list of finite numbers; a bool is not one, nor
+            # an integer beyond the float range.
+            if not isinstance(coords, list) or not coords or not all(
+                type(c) in (int, float) and abs(c) <= sys.float_info.max
+                for c in coords
+            ):
+                raise ProtocolError(
+                    "bad-request", "coords must be a non-empty list of finite numbers"
+                )
+            probe = tuple(float(c) for c in coords)
+            return protocol.ok_response(op, rid, **view.classify(probe))
         raise ProtocolError("bad-request", "QUERY needs 'pid' or 'coords'")
 
     if op == "SNAPSHOT":

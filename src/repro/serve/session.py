@@ -8,21 +8,25 @@ that ever mutates clustering state. Producers enqueue through
 :meth:`TenantSession.offer` under the session's admission policy
 (``block`` / ``shed-oldest`` / ``reject``); readers are answered from
 :attr:`TenantSession.view`, an immutable :class:`SessionView` the writer
-swaps in atomically after every window advance (copy-on-publish). Because a
-view is fully constructed before the single reference assignment, a reader
-can never observe a half-advanced stride, and because reads touch only the
-published view, they never contend with ingestion.
+swaps in atomically after every window advance (copy-on-publish: the
+stride's one snapshot, shared with its CDC record, plus read-only numpy
+columns of its core points). Because a view is fully constructed before the
+single reference assignment, a reader can never observe a half-advanced
+stride, and because reads touch only the published view, they never contend
+with ingestion.
 """
 
 from __future__ import annotations
 
 import asyncio
-from collections.abc import Iterable
-
 import math
+from collections.abc import Iterable
+from dataclasses import dataclass
+
+import numpy as np
 
 from repro.common.config import WindowSpec
-from repro.common.distance import squared_distance
+from repro.common.distance import dists_to_many
 from repro.common.errors import ConfigurationError, ReproError
 from repro.common.points import StreamPoint
 from repro.common.snapshot import Category, Clustering
@@ -62,8 +66,8 @@ class _DurabilityHooks(RuntimeHooks):
     def __init__(self, session: "TenantSession") -> None:
         self.session = session
 
-    def after_stride(self, stride: int, summary) -> None:
-        self.session._journal_stride(stride, summary)
+    def after_stride(self, stride: int, summary, clustering) -> None:
+        self.session._journal_stride(stride, summary, clustering)
 
     def before_checkpoint(self, stride: int) -> None:
         evjournal = self.session.evjournal
@@ -122,6 +126,7 @@ class _Subscriber:
                 pass
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class SessionView:
     """Immutable, point-in-time read surface of one tenant.
 
@@ -135,27 +140,40 @@ class SessionView:
         clustering: the :class:`~repro.common.snapshot.Clustering` snapshot.
         eps: the session's distance threshold (the ad-hoc classification
             radius).
-        cores: ``(pid, coords, cluster_id)`` for every core point — the
-            data behind nearest-core classification.
+        core_pids, core_coords, core_labels: the core points as
+            row-aligned ``(n,)`` int64 pids, ``(n, d)`` float64 coordinates
+            and ``(n,)`` int64 cluster ids, in no particular row order; the
+            view takes them over and marks them read-only.
     """
 
-    __slots__ = ("stride", "clustering", "eps", "cores")
+    stride: int
+    clustering: Clustering
+    eps: float
+    core_pids: np.ndarray
+    core_coords: np.ndarray
+    core_labels: np.ndarray
 
-    def __init__(
-        self,
-        stride: int,
-        clustering: Clustering,
-        eps: float,
-        cores: tuple[tuple[int, tuple[float, ...], int], ...],
-    ) -> None:
-        self.stride = stride
-        self.clustering = clustering
-        self.eps = eps
-        self.cores = cores
+    def __post_init__(self) -> None:
+        for column in (self.core_pids, self.core_coords, self.core_labels):
+            column.flags.writeable = False
 
     @classmethod
     def empty(cls, eps: float) -> "SessionView":
-        return cls(-1, Clustering({}, {}), eps, ())
+        ids = np.empty(0, dtype=np.int64)
+        return cls(-1, Clustering({}, {}), eps, ids, np.empty((0, 0)), ids.copy())
+
+    @classmethod
+    def from_state(cls, stride: int, clustering: Clustering, state) -> "SessionView":
+        """The view of ``clustering`` with its core columns copied (never
+        aliased) out of the quiescent window ``state`` it was taken from."""
+        arena = state.store
+        slots = arena.live_slots()
+        mask = (arena.n_eps[slots] >= state.params.tau) & (arena.cid[slots] != NO_ID)
+        core_slots = slots[mask]
+        pids = arena.pid[core_slots]
+        labels = [clustering.label_of(pid) for pid in pids.tolist()]
+        columns = (pids, arena.coords[core_slots], np.array(labels, dtype=np.int64))
+        return cls(stride, clustering, state.params.eps, *columns)
 
     def membership(self, pid: int) -> dict:
         """Label + category of a tracked point (noise when unknown)."""
@@ -174,25 +192,26 @@ class SessionView:
         within ``eps`` of a core belongs to that core's cluster (nearest
         core wins; exact distance ties break to the lowest cluster label,
         then the lowest core pid, so the answer never depends on the order
-        the core set is iterated in); otherwise it is noise. The scan is
-        linear over the core set — see ``docs/serving.md`` for capacity
-        notes.
+        the core rows are stored in); otherwise it is noise, as is a probe of
+        another dimensionality. One O(cores) vectorised scan (see
+        ``docs/serving.md`` for capacity notes) using the vectorised index
+        backends' distance kernel, so ``eps`` is decided as they decide it.
+        The reply holds plain Python values: it is JSON-encoded as is.
         """
-        best: tuple[float, int, int] | None = None  # (sq, label, pid)
-        eps_sq = self.eps * self.eps
-        for pid, core_coords, label in self.cores:
-            if len(core_coords) != len(coords):
-                continue
-            sq = squared_distance(coords, core_coords)
-            if sq <= eps_sq:
-                key = (sq, label, pid)
-                if best is None or key < best:
-                    best = key
+        best = None
+        if self.core_coords.shape[1] == len(coords):
+            sq = dists_to_many(coords, self.core_coords)
+            (hits,) = np.nonzero(sq <= self.eps * self.eps)
+            if len(hits):  # lexsort's last key is the primary one
+                keys = (self.core_pids[hits], self.core_labels[hits], sq[hits])
+                best = hits[np.lexsort(keys)[0]]
         return {
             "stride": self.stride,
-            "label": Clustering.NOISE_ID if best is None else best[1],
-            "nearest_core": None if best is None else best[2],
-            "distance": None if best is None else math.sqrt(best[0]),
+            "label": (
+                Clustering.NOISE_ID if best is None else int(self.core_labels[best])
+            ),
+            "nearest_core": None if best is None else int(self.core_pids[best]),
+            "distance": None if best is None else math.sqrt(sq[best]),
         }
 
     def snapshot_payload(self) -> dict:
@@ -368,7 +387,7 @@ class TenantSession:
         if self.supervisor.stride > 0:
             # Restored mid-run: publish the recovered clustering so readers
             # see the resumed state before the first new advance.
-            self._publish()
+            self._publish(self.supervisor.snapshot())
         self._writer = asyncio.get_running_loop().create_task(
             self._writer_loop(), name=f"serve-writer-{self.name}"
         )
@@ -485,8 +504,8 @@ class TenantSession:
         if self.failed is None:
             await self._queue.join()  # writer has fed everything enqueued
             if flush_tail and self.failed is None:
-                if self.supervisor.finish():
-                    self._publish()
+                if results := self.supervisor.finish():
+                    self._publish(results[-1][0])
             if self._pending_push:
                 await self._fanout(self._take_pending())
             # The writer may have died on an item it dequeued during the
@@ -515,32 +534,35 @@ class TenantSession:
                 # The stamp any stride this item closes is journaled under.
                 self._last_time = item.time
             try:
-                results = self.supervisor.feed(item)
-            except ReproError as exc:
-                self.failed = f"{type(exc).__name__}: {exc}"
-                self._queue.task_done()
-                self._discard_queue()
-                return
+                try:
+                    results = self.supervisor.feed(item)
+                except ReproError as exc:
+                    self.failed = f"{type(exc).__name__}: {exc}"
+                    self._queue.task_done()
+                    self._discard_queue()
+                    return
+                if self.journal is not None:
+                    self.journal.append(item)
+                self.ingested += 1
+                if results:
+                    self._publish(results[-1][0])
+                if self._pending_push:
+                    # Commit-then-push: under journal_fsync=always a record
+                    # is durable before any subscriber can observe it, so a
+                    # crash can never lose an event a client already
+                    # reacted to.
+                    await self._fanout(self._take_pending())
             except Exception as exc:  # noqa: BLE001 - crash isolation
-                # Anything that is not a policy-governed ReproError is an
+                # Anything else, anywhere in the item's handling, is an
                 # unexpected crash: isolate the tenant and signal the
                 # service supervisor, which restarts it from
-                # checkpoint + WAL with backoff.
+                # checkpoint + WAL with backoff. (Cancellation is not an
+                # Exception and propagates.)
                 self.failed = f"crashed: {type(exc).__name__}: {exc}"
                 self._queue.task_done()
                 self._discard_queue()
                 self.crashed.set()
                 return
-            if self.journal is not None:
-                self.journal.append(item)
-            self.ingested += 1
-            if results:
-                self._publish()
-            if self._pending_push:
-                # Commit-then-push: under journal_fsync=always a record is
-                # durable before any subscriber can observe it, so a crash
-                # can never lose an event a client already reacted to.
-                await self._fanout(self._take_pending())
             self._queue.task_done()
             if results:
                 # A stride boundary is the natural scheduling point: let
@@ -557,41 +579,25 @@ class TenantSession:
                 return
             self._queue.task_done()
 
-    def _publish(self) -> None:
-        """Build an immutable view from live state and swap it in atomically.
+    def _publish(self, clustering: Clustering) -> None:
+        """Swap in an immutable view of ``clustering``, the supervisor's
+        snapshot of the current state, atomically.
 
         Runs between strides in the writer task (or during start/drain, when
         the writer is idle), so it reads a quiescent clusterer. The view is
         complete before the single reference assignment below — the only
         "lock" the read path needs.
         """
-        clusterer = self.supervisor.clusterer
-        if clusterer is None:  # pragma: no cover - publish before begin()
-            return
-        clustering = clusterer.snapshot()
-        state = clusterer.state
-        arena = state.store
-        # One masked slice over the live rows. The cores tuple's order is
-        # irrelevant to readers — classify() breaks ties by (distance, label,
-        # pid), not by iteration order.
-        slots = arena.live_slots()
-        mask = (arena.n_eps[slots] >= state.params.tau) & (arena.cid[slots] != NO_ID)
-        core_slots = slots[mask] if len(slots) else slots
-        pids = arena.pid[core_slots].tolist()
-        coords = arena.coords[core_slots].tolist()
-        cores = tuple(
-            (pid, tuple(row), clustering.label_of(pid))
-            for pid, row in zip(pids, coords)
-        )
-        self.view = SessionView(
-            self.supervisor.stride - 1, clustering, self.config.eps, cores
+        self.view = SessionView.from_state(
+            self.supervisor.stride - 1, clustering, self.supervisor.clusterer.state
         )
 
     # ------------------------------------------------------------- CDC journal
 
-    def _journal_stride(self, stride: int, summary) -> None:
+    def _journal_stride(self, stride: int, summary, clustering: Clustering) -> None:
         """Publish one closed stride's CDC record (supervisor hook).
 
+        ``clustering`` is the stride's one snapshot, shared with its view.
         Runs inside ``feed``/``finish`` right after the stride closed and
         *before* any checkpoint for it can be taken, so the journal never
         trails a durable checkpoint. Already-journaled strides (WAL-tail
@@ -602,7 +608,6 @@ class TenantSession:
         """
         if self.evjournal is None and self.archive is None:
             return
-        clustering = self.supervisor.clusterer.snapshot()
         record = stride_record(
             stride,
             self._journal_prev,

@@ -13,6 +13,7 @@ import math
 
 import pytest
 
+from repro.common.distance import squared_distance
 from repro.common.snapshot import Clustering
 from repro.fuzz.oracles import (
     ORACLES,
@@ -26,7 +27,7 @@ from repro.fuzz.oracles import (
 )
 from repro.fuzz.scenarios import generate_scenario, scenarios_from_seed
 from repro.runtime.chaos import enumerate_fault_points
-from repro.serve.session import SessionView, squared_distance
+from repro.serve.session import SessionView
 
 BACKEND = "grid"
 
@@ -71,7 +72,9 @@ def order_dependent_classify(self, coords):
     best_label = Clustering.NOISE_ID
     best_sq = None
     eps_sq = self.eps * self.eps
-    for pid, core_coords, label in self.cores:
+    for pid, core_coords, label in zip(
+        self.core_pids.tolist(), self.core_coords.tolist(), self.core_labels.tolist()
+    ):
         if len(core_coords) != len(coords):
             continue
         sq = squared_distance(coords, core_coords)

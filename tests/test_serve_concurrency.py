@@ -51,7 +51,7 @@ async def hammer(session, observations, stop):
         assert payload["num_points"] == len(payload["categories"])
         assert payload["labels"] == {str(pid): cid for pid, cid in labels.items()}
         assert set(payload["labels"]) <= set(payload["categories"])
-        for pid, _coords, core_label in view.cores:
+        for pid, core_label in zip(view.core_pids.tolist(), view.core_labels.tolist()):
             assert labels.get(pid) == core_label, (
                 f"core {pid} labelled {core_label} but snapshot says "
                 f"{labels.get(pid)} at stride {view.stride}"

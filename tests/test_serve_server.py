@@ -245,6 +245,45 @@ class TestErrorEnvelopes:
         assert response["ok"] is False
         assert response["error"]["code"] == "bad-request"
 
+    def test_query_coords_must_be_a_list_of_finite_numbers(self):
+        # Regression: the probe was built by iterating whatever arrived, so
+        # "12" and {"1": 0, "2": 0} were both answered as the probe (1, 2).
+        bad = [
+            "12",
+            {"1": 0, "2": 0},
+            [],
+            [True, 0.0],
+            [0.0, "1"],
+            [0.0, None],
+            [[0.0, 0.0]],
+            [float("nan"), 0.0],
+            [float("inf"), 0.0],
+            [10**400, 0.0],
+            None,
+        ]
+
+        async def scenario(port):
+            async with await ServeClient.connect("127.0.0.1", port) as client:
+                await client.open_session("t1", CONFIG)
+                replies = [
+                    await client.request(
+                        {"op": "QUERY", "session": "t1", "coords": coords},
+                        check=False,
+                    )
+                    for coords in bad
+                ]
+                good = await client.request(
+                    {"op": "QUERY", "session": "t1", "coords": [1, 2.5]}
+                )
+                return replies, good
+
+        replies, good = serve_scenario(scenario)
+        for coords, reply in zip(bad, replies):
+            assert reply["ok"] is False, coords
+            assert reply["error"]["code"] == "bad-request", coords
+        assert good["ok"] is True
+        assert good["label"] == -1 and good["nearest_core"] is None
+
 
 class TestGracefulShutdown:
     def test_stop_drains_and_checkpoints_every_tenant(self, tmp_path):

@@ -9,16 +9,22 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import math
+import random
+import sys
 
+import numpy as np
 import pytest
 
 from repro.api import cluster_stream
 from repro.common.config import WindowSpec
+from repro.common.distance import squared_distance
 from repro.common.snapshot import Clustering
 from repro.datasets.io import MalformedRecord
 from repro.query.archive import SnapshotArchive
 from repro.query.journal import EvolutionJournal
 from repro.serve import ServeError, SessionConfig, TenantSession
+from repro.serve.protocol import decode_frame, encode_frame, ok_response
 from repro.serve.session import SessionView
 
 from .conftest import clustered_stream
@@ -37,8 +43,8 @@ def record_views(session: TenantSession) -> list:
     views = []
     original = session._publish
 
-    def capture():
-        original()
+    def capture(*args):
+        original(*args)
         views.append(session.view)
 
     session._publish = capture
@@ -142,10 +148,50 @@ class TestViews:
         for pid, cid in clustering.labels.items():
             assert view.membership(pid)["label"] == cid
         # Every core classifies to its own cluster (distance 0).
-        for pid, coords, label in view.cores:
-            result = view.classify(coords)
+        for coords, label in zip(view.core_coords.tolist(), view.core_labels.tolist()):
+            result = view.classify(tuple(coords))
             assert result["label"] == label
             assert result["distance"] == 0.0
+
+    def test_view_columns_are_read_only_copies(self):
+        points = clustered_stream(14, 240)
+        session, _, _ = asyncio.run(drive_session(make_config(), points))
+        view = session.view
+        assert len(view.core_pids) > 0
+        arena = session.supervisor.clusterer.state.store
+        for column in (view.core_pids, view.core_coords, view.core_labels):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 0
+        assert view.core_coords.shape == (len(view.core_pids), 2)
+        assert not np.shares_memory(view.core_coords, arena.coords)
+        assert not np.shares_memory(view.core_pids, arena.pid)
+
+    def test_view_answers_do_not_change_after_later_strides(self):
+        points = clustered_stream(24, 360)
+        probes = [p.coords for p in points[::15]]
+        session = TenantSession("t", make_config())
+        seen = []
+        original = session._publish
+
+        def capture(*args):
+            original(*args)
+            view = session.view
+            seen.append((view, [view.classify(q) for q in probes]))
+
+        session._publish = capture
+
+        async def scenario():
+            session.start()
+            for i in range(0, len(points), 20):
+                await session.offer(points[i : i + 20])
+            await session.drain()
+            await session.close()
+
+        asyncio.run(scenario())
+        assert len(seen) == 360 // 30
+        for view, answers in seen:
+            assert [view.classify(q) for q in probes] == answers
 
     def test_classify_out_of_range_is_noise(self):
         points = clustered_stream(15, 240)
@@ -156,7 +202,16 @@ class TestViews:
 
 
 def make_view(cores, eps=1.5) -> SessionView:
-    return SessionView(0, Clustering({}, {}), eps, tuple(cores))
+    """A view over ``(pid, coords, label)`` core rows, in the given order."""
+    pids, coords, labels = zip(*cores)
+    return SessionView(
+        0,
+        Clustering({}, {}),
+        eps,
+        np.array(pids, dtype=np.int64),
+        np.array(coords, dtype=np.float64),
+        np.array(labels, dtype=np.int64),
+    )
 
 
 class TestClassifyTieBreak:
@@ -207,6 +262,112 @@ class TestClassifyTieBreak:
                 for order in itertools.permutations(cores)
             }
             assert len(answers) == 1, f"probe {probe} is order-dependent"
+
+
+def reference_classify(view: SessionView, coords) -> dict:
+    """The per-core scan ``classify`` replaced, kept as its reference."""
+    best = None  # (sq, label, pid)
+    eps_sq = view.eps * view.eps
+    for pid, core_coords, label in zip(
+        view.core_pids.tolist(), view.core_coords.tolist(), view.core_labels.tolist()
+    ):
+        if len(core_coords) != len(coords):
+            continue
+        sq = squared_distance(coords, core_coords)
+        if sq <= eps_sq:
+            key = (sq, label, pid)
+            if best is None or key < best:
+                best = key
+    return {
+        "stride": view.stride,
+        "label": Clustering.NOISE_ID if best is None else best[1],
+        "nearest_core": None if best is None else best[2],
+        "distance": None if best is None else math.sqrt(best[0]),
+    }
+
+
+def random_cores(rng: random.Random, dim: int, *, grid: bool) -> list[tuple]:
+    """``(pid, coords, label)`` rows; grid rows repeat coordinates and labels."""
+    n = rng.randint(1, 60)
+    pids = rng.sample(range(1000), n)
+    if grid:
+        coords = [tuple(rng.randint(-6, 6) * 0.25 for _ in range(dim)) for _ in pids]
+    else:
+        coords = [tuple(rng.uniform(-1.5, 1.5) for _ in range(dim)) for _ in pids]
+    return [(pid, xyz, rng.randint(0, 3)) for pid, xyz in zip(pids, coords)]
+
+
+def random_probes(rng: random.Random, cores, dim: int, *, grid: bool) -> list:
+    """Probes on the half grid (exact ties), at cores, and scattered."""
+    probes = [coords for _, coords, _ in rng.sample(cores, min(5, len(cores)))]
+    for _ in range(20):
+        if grid:
+            probes.append(tuple(rng.randint(-14, 14) * 0.125 for _ in range(dim)))
+        else:
+            probes.append(tuple(rng.uniform(-2.0, 2.0) for _ in range(dim)))
+    return probes
+
+
+class TestVectorisedClassify:
+    """``classify`` answers exactly as the per-core scan it replaced."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_grid_cores_match_the_reference_exactly(self, dim):
+        # On the 0.25 grid every squared distance is exact in float64, so
+        # summation order cannot matter: the answers, distance included,
+        # must be identical. The grid also forces exact-distance ties
+        # between cores of equal and of different labels.
+        rng = random.Random(100 + dim)
+        ties = 0
+        for _ in range(60):
+            cores = random_cores(rng, dim, grid=True)
+            view = make_view(cores, eps=rng.choice([0.25, 0.5, 0.75, 1.0]))
+            for probe in random_probes(rng, cores, dim, grid=True):
+                expected = reference_classify(view, probe)
+                assert view.classify(probe) == expected, (cores, probe)
+                if expected["distance"] is not None:
+                    sq = [squared_distance(probe, c) for _, c, _ in cores]
+                    ties += sq.count(min(sq)) > 1
+        assert ties >= 10, "the grid sets must exercise exact-distance ties"
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_continuous_cores_match_the_reference(self, dim):
+        # Off the grid, dists_to_many may sum the squared terms in another
+        # order than the scalar loop (it does for d >= 3), so the distance
+        # is held to a float64 tolerance; the winner must be the same.
+        rng = random.Random(200 + dim)
+        tolerance = 4 * sys.float_info.epsilon
+        for _ in range(60):
+            cores = random_cores(rng, dim, grid=False)
+            view = make_view(cores, eps=rng.uniform(0.1, 1.0))
+            for probe in random_probes(rng, cores, dim, grid=False):
+                expected = reference_classify(view, probe)
+                answer = view.classify(probe)
+                assert {**answer, "distance": None} == {**expected, "distance": None}
+                if expected["distance"] is not None:
+                    assert math.isclose(
+                        answer["distance"], expected["distance"], rel_tol=tolerance
+                    )
+
+    def test_probe_of_another_dimensionality_is_noise(self):
+        view = make_view([(1, (0.0, 0.0), 4), (2, (0.5, 0.0), 4)])
+        for probe in [(0.0,), (0.0, 0.0, 0.0)]:
+            assert view.classify(probe) == {
+                "stride": 0,
+                "label": Clustering.NOISE_ID,
+                "nearest_core": None,
+                "distance": None,
+            }
+
+    def test_reply_survives_the_wire_unchanged(self):
+        view = make_view([(7, (0.0, 0.0), 5), (2, (3.0, 0.0), 3)])
+        for probe in [(1.0, 0.0), (9.0, 9.0)]:
+            answer = view.classify(probe)
+            assert type(answer["label"]) is int
+            assert answer["nearest_core"] is None or type(answer["nearest_core"]) is int
+            assert answer["distance"] is None or type(answer["distance"]) is float
+            frame = ok_response("QUERY", 1, **answer)
+            assert decode_frame(encode_frame(frame)) == frame
 
 
 class TestJournalRetention:
@@ -355,6 +516,36 @@ class TestFailure:
         with pytest.raises(ServeError) as err:
             session.require_healthy()
         assert err.value.code == "session-failed"
+
+    def test_writer_crash_outside_feed_fails_and_signals(self):
+        # Regression: only ``supervisor.feed`` was guarded, so an exception
+        # from ``_publish`` ended the writer task silently — ``failed`` and
+        # ``crashed`` stayed unset and ``drain()`` waited forever on the
+        # queue join.
+        async def scenario():
+            session = TenantSession("t", make_config())
+            original = session._publish
+            calls = []
+
+            def flaky(*args):
+                calls.append(args)
+                if len(calls) == 2:
+                    raise RuntimeError("publish blew up")
+                original(*args)
+
+            session._publish = flaky
+            session.start()
+            await session.offer(clustered_stream(23, 150))
+            await asyncio.wait_for(session.drain(), timeout=5)
+            outcome = await session.offer(clustered_stream(23, 10, start_id=150))
+            await session.close()
+            return session, outcome
+
+        session, outcome = asyncio.run(scenario())
+        assert session.failed == "crashed: RuntimeError: publish blew up"
+        assert session.crashed.is_set()
+        assert session.view.stride == 0  # the first publish landed
+        assert outcome["rejected"] == 10
 
     def test_skip_policy_survives_malformed_items(self):
         async def scenario():

@@ -126,8 +126,8 @@ async def _life2(tmp_path, points, config):
     views = []
     original = session._publish
 
-    def capture():
-        original()
+    def capture(*args):
+        original(*args)
         views.append(session.view)
 
     session._publish = capture
@@ -511,8 +511,8 @@ class TestShedCrashConsistency:
             views = []
             original = session._publish
 
-            def capture():
-                original()
+            def capture(*args):
+                original(*args)
                 views.append(session.view)
 
             session._publish = capture
