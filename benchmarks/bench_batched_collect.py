@@ -37,7 +37,6 @@ class LoopedView(NeighborIndex):
 
     def __init__(self, inner: NeighborIndex) -> None:
         self.inner = inner
-        self.radius_cap = inner.radius_cap
 
     @property
     def stats(self):

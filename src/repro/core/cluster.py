@@ -210,11 +210,11 @@ def process_ex_cores(
             )
 
         if trace is not None:
-            trace.retro_classes += 1
+            trace.counters.retro_classes += 1
             # Theorem 1: the whole class shares one check; every member
             # beyond the representative is a check a naive IncDBSCAN-style
             # deletion pass would have issued.
-            trace.theorem1_skips += len(retro) - 1
+            trace.counters.theorem1_skips += len(retro) - 1
         events.append(
             _resolve_ex_class(
                 state,
@@ -374,7 +374,7 @@ def _settle_claims(
         if len(live) < 2:
             continue
         if trace is not None:
-            trace.connectivity_checks += 1
+            trace.counters.connectivity_checks += 1
         result = check_connectivity(
             index,
             state,
@@ -425,7 +425,7 @@ def _resolve_ex_class(
         return EvolutionEvent(EvolutionKind.SHRINK, (cid,), trigger=seed)
 
     if trace is not None:
-        trace.connectivity_checks += 1
+        trace.counters.connectivity_checks += 1
     result = check_connectivity(
         index,
         state,
@@ -473,7 +473,7 @@ def process_neo_cores(
 
     for seed, remaining in _ordered_classes(neo_cores):
         if trace is not None:
-            trace.nascent_classes += 1
+            trace.counters.nascent_classes += 1
         group = [seed]
         seen = {seed}
         queue: deque[int] = deque([seed])

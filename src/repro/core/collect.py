@@ -208,7 +208,7 @@ def collect(
         result.neo_cores = t_arr[live & is_core & ~was_core].tolist()
     result.ex_cores.extend(result.c_out)
     if trace is not None:
-        trace.collect_touched = len(touched)
+        trace.counters.collect_touched = len(touched)
     return result
 
 

@@ -124,7 +124,7 @@ class DISC:
         result = collect(state, index, delta_in, delta_out, trace=trace)
         if trace is not None:
             t1 = perf_counter()
-            trace.phases["collect"] = t1 - t0
+            trace.phases.collect = t1 - t0
         ex_events = process_ex_cores(
             state,
             index,
@@ -135,14 +135,14 @@ class DISC:
         )
         if trace is not None:
             t2 = perf_counter()
-            trace.phases["split_checks"] = t2 - t1
+            trace.phases.split_checks = t2 - t1
         # Algorithm 2, line 8: exited ex-cores leave the index only now.
         for pid in result.c_out:
             index.delete(pid)
         neo_events = process_neo_cores(state, index, result.neo_cores, trace=trace)
         if trace is not None:
             t3 = perf_counter()
-            trace.phases["merge_checks"] = t3 - t2
+            trace.phases.merge_checks = t3 - t2
         repair_anchors(state, index)
         self._advance_generation(result)
         self._strides_since_compact += 1
@@ -159,12 +159,12 @@ class DISC:
         )
         if trace is not None:
             t4 = perf_counter()
-            trace.phases["maintenance"] = t4 - t3
+            trace.phases.maintenance = t4 - t3
             trace.elapsed_s = t4 - t0
-            trace.num_inserted = len(delta_in)
-            trace.num_deleted = len(delta_out)
-            trace.ex_cores = len(result.ex_cores)
-            trace.neo_cores = len(result.neo_cores)
+            trace.counters.num_inserted = len(delta_in)
+            trace.counters.num_deleted = len(delta_out)
+            trace.counters.ex_cores = len(result.ex_cores)
+            trace.counters.neo_cores = len(result.neo_cores)
             trace.index = index.stats.snapshot() - stats_before
             trace.store = state.store.counters()
             for event in summary.events:

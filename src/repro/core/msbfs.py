@@ -161,7 +161,7 @@ def check_connectivity(
             alive.discard(loser)
             root = winner
             if trace is not None:
-                trace.msbfs_queue_merges += 1
+                trace.counters.msbfs_queue_merges += 1
         return root
 
     probe_pids = getattr(index, "ball_unvisited_pids", None)
@@ -169,7 +169,7 @@ def check_connectivity(
     def expand(pid: int, group_root: int) -> int:
         """Expand one core vertex; returns the (possibly merged) group root."""
         if trace is not None:
-            trace.msbfs_expansions += 1
+            trace.counters.msbfs_expansions += 1
         root = group_root
         # Ids-only probes (no candidate tuples), then scalar column reads per
         # neighbour in exact ball order — the balls here are small enough
@@ -239,7 +239,7 @@ def check_connectivity(
     if trace is not None and any(
         pid not in expanded for pid in queues[survivor_root]
     ):
-        trace.msbfs_early_exits += 1
+        trace.counters.msbfs_early_exits += 1
     return ConnectivityResult(
         num_components=len(dead_order) + 1,
         exhausted=[dead[root] for root in dead_order],

@@ -29,8 +29,11 @@ Core status is *derived* (``n_eps >= tau``), never stored. See DESIGN.md
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
+
+from repro.common.counters import CounterGroup
 
 #: flags bit: the point was a core at the end of the previous stride.
 WAS_CORE = np.uint8(1)
@@ -44,18 +47,22 @@ SLAB_SLOTS = 1024
 #: Sentinel for "no cluster id" / "no anchor" in the int64 columns.
 NO_ID = -1
 
-#: Keys of :meth:`PointStore.counters`, in emission order. The observability
-#: schema and the Prometheus exporter treat these as gauges (point-in-time
-#: occupancy, not per-stride deltas).
-COUNTER_FIELDS = (
-    "slots",
-    "capacity",
-    "slabs",
-    "free",
-    "recycled",
-    "high_water",
-    "occupancy",
-)
+
+@dataclass
+class StoreGauges(CounterGroup):
+    """Arena occupancy at one instant (gauges, not per-stride deltas).
+
+    The fields are the ``store`` block of the trace and the Prometheus
+    textfile.
+    """
+
+    slots: int = 0
+    capacity: int = 0
+    slabs: int = 0
+    free: int = 0
+    recycled: int = 0
+    high_water: int = 0
+    occupancy: float = field(default=0.0, metadata={"maximum": 1})
 
 
 class PointStore:
@@ -102,18 +109,18 @@ class PointStore:
     def slabs(self) -> int:
         return self.capacity // SLAB_SLOTS
 
-    def counters(self) -> dict:
-        """Occupancy counters for the observability layer."""
+    def counters(self) -> StoreGauges:
+        """Occupancy gauges for the observability layer."""
         in_use = len(self._slot_of)
-        return {
-            "slots": in_use,
-            "capacity": self.capacity,
-            "slabs": self.slabs,
-            "free": len(self._free),
-            "recycled": self.recycled_total,
-            "high_water": self.high_water,
-            "occupancy": (in_use / self.capacity) if self.capacity else 0.0,
-        }
+        return StoreGauges(
+            slots=in_use,
+            capacity=self.capacity,
+            slabs=self.slabs,
+            free=len(self._free),
+            recycled=self.recycled_total,
+            high_water=self.high_water,
+            occupancy=(in_use / self.capacity) if self.capacity else 0.0,
+        )
 
     def nbytes(self) -> int:
         """Resident bytes of all columns (the arena's memory footprint)."""

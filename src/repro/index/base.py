@@ -14,16 +14,12 @@ backend that can amortise work across queries (the numpy grid, the STR
 bulk-loading R-tree) overrides the ``*_many`` methods while every other
 backend keeps the loop fallback — results must be identical either way.
 
-Capability flags let callers adapt instead of probing with ``hasattr``:
-
-- :attr:`NeighborIndex.supports_epochs` — the backend natively implements
-  the epoch probing trio (``new_tick`` / ``ball_unvisited`` / ``mark``,
-  paper Algorithm 4). Backends without it are wrapped in
-  :class:`repro.index.epochs.EpochAdapter`, which supplies the same
-  semantics generically.
-- :attr:`NeighborIndex.radius_cap` — ``None`` for general-radius backends;
-  the tuned epsilon for grid backends whose stencil only covers balls up to
-  that radius.
+A capability flag lets callers adapt instead of probing with ``hasattr``:
+:attr:`NeighborIndex.supports_epochs` says the backend natively implements
+the epoch probing trio (``new_tick`` / ``ball_unvisited`` / ``mark``, paper
+Algorithm 4). Backends without it are wrapped in
+:class:`repro.index.epochs.EpochAdapter`, which supplies the same semantics
+generically.
 """
 
 from __future__ import annotations
@@ -52,9 +48,6 @@ class NeighborIndex(ABC):
     #: Whether the backend natively implements ``new_tick`` /
     #: ``ball_unvisited`` / ``mark`` (epoch probing, paper Algorithm 4).
     supports_epochs: ClassVar[bool] = False
-
-    #: Largest query radius the backend can serve, or ``None`` if unbounded.
-    radius_cap: float | None = None
 
     stats: IndexStats
 

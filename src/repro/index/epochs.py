@@ -44,7 +44,6 @@ class EpochAdapter(NeighborIndex):
         self.inner = inner
         self._epochs: dict[int, int] = {pid: 0 for pid, _ in inner.items()}
         self._tick = 0
-        self.radius_cap = inner.radius_cap
 
     @property
     def stats(self):

@@ -37,7 +37,6 @@ class GridIndex(NeighborIndex):
         if eps <= 0:
             raise IndexError_(f"eps must be positive, got {eps}")
         self.eps = eps
-        self.radius_cap = eps
         self.dim = dim
         self.side: float | None = None
         self._stencil: list[CellKey] | None = None

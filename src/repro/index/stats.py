@@ -15,20 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: Counter names, in rendering order; shared by snapshots, traces and sinks.
-FIELDS = (
-    "range_searches",
-    "nodes_accessed",
-    "entries_scanned",
-    "inserts",
-    "deletes",
-    "epoch_prunes",
-)
+from repro.common.counters import CounterGroup
 
 
 @dataclass
-class IndexStats:
-    """Mutable operation counters for one spatial index."""
+class IndexStats(CounterGroup):
+    """Mutable operation counters for one spatial index.
+
+    Plain attributes, so the R-tree can bump them inside its leaf loop;
+    the field order is the rendering order of traces and sinks.
+    """
 
     range_searches: int = 0
     nodes_accessed: int = 0
@@ -36,37 +32,3 @@ class IndexStats:
     inserts: int = 0
     deletes: int = 0
     epoch_prunes: int = 0
-
-    def reset(self) -> None:
-        """Zero every counter."""
-        self.range_searches = 0
-        self.nodes_accessed = 0
-        self.entries_scanned = 0
-        self.inserts = 0
-        self.deletes = 0
-        self.epoch_prunes = 0
-
-    def snapshot(self) -> "IndexStats":
-        """Return an independent copy of the current counters."""
-        return IndexStats(
-            range_searches=self.range_searches,
-            nodes_accessed=self.nodes_accessed,
-            entries_scanned=self.entries_scanned,
-            inserts=self.inserts,
-            deletes=self.deletes,
-            epoch_prunes=self.epoch_prunes,
-        )
-
-    def as_dict(self) -> dict[str, int]:
-        """JSON-friendly form, in :data:`FIELDS` order."""
-        return {name: getattr(self, name) for name in FIELDS}
-
-    def __sub__(self, other: "IndexStats") -> "IndexStats":
-        return IndexStats(
-            range_searches=self.range_searches - other.range_searches,
-            nodes_accessed=self.nodes_accessed - other.nodes_accessed,
-            entries_scanned=self.entries_scanned - other.entries_scanned,
-            inserts=self.inserts - other.inserts,
-            deletes=self.deletes - other.deletes,
-            epoch_prunes=self.epoch_prunes - other.epoch_prunes,
-        )

@@ -10,9 +10,9 @@ An honest performance note, measured on this substrate: for :meth:`ball`
 result-building loop dominates and the vectorized index only breaks even
 with the plain grid. Where vectorization genuinely pays is *counting*:
 :meth:`count_ball` answers "how many points within eps" several times faster
-than materialising the ball, because the reduction stays inside numpy. That
-is exactly the operation density calibration (``repro.metrics.kdist``) and
-count-only maintenance need.
+than materialising the ball, because the reduction stays inside numpy.
+The invariant checker's neighbour recount (``repro.runtime.invariants``)
+is the user of that path.
 
 The interface matches the other indexes (insert/delete/ball/coords_of/...),
 so any clusterer accepts it via ``index=``.
@@ -82,7 +82,6 @@ class VectorGridIndex(NeighborIndex):
         if eps <= 0:
             raise IndexError_(f"eps must be positive, got {eps}")
         self.eps = eps
-        self.radius_cap = eps
         self.dim = dim
         self.side = eps
         self._cells: dict[CellKey, _Cell] = {}

@@ -3,7 +3,9 @@
 Opt-in instrumentation of the streaming pipeline: phase timings, algorithm
 counters and index-statistics deltas per window advance, fanned out to JSONL
 traces, Prometheus textfiles, or in-memory buffers. Off by default and free
-when off — see :mod:`repro.observability.trace`.
+when off — see :mod:`repro.observability.trace`. Every counter group is one
+entry of :data:`GROUPS`, from which the record, the schema, the textfile and
+the report are derived.
 """
 
 from repro.observability.schema import (
@@ -19,7 +21,9 @@ from repro.observability.sinks import (
 )
 from repro.observability.trace import (
     COUNTERS,
+    GROUPS,
     PHASES,
+    Group,
     StrideTrace,
     TraceAggregate,
     Tracer,
@@ -28,8 +32,10 @@ from repro.observability.trace import (
 
 __all__ = [
     "COUNTERS",
+    "GROUPS",
     "PHASES",
     "TRACE_SCHEMA",
+    "Group",
     "InMemorySink",
     "JsonlTraceWriter",
     "PrometheusTextfileExporter",

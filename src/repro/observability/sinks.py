@@ -12,7 +12,7 @@ import os
 from pathlib import Path
 
 from repro._version import __version__
-from repro.observability.trace import COUNTERS, PHASES, StrideTrace
+from repro.observability.trace import GROUPS, StrideTrace
 
 
 class InMemorySink:
@@ -117,60 +117,19 @@ class PrometheusTextfileExporter:
             "# HELP disc_stride_seconds_total Wall time spent inside advance().",
             "# TYPE disc_stride_seconds_total counter",
             self._line("disc_stride_seconds_total", f"{sum(agg.elapsed):.9f}"),
-            "# HELP disc_phase_seconds_total Wall time per pipeline phase.",
-            "# TYPE disc_phase_seconds_total counter",
         ]
-        for name in PHASES:
-            lines.append(
-                self._line(
-                    "disc_phase_seconds_total",
-                    f"{agg.phases[name]:.9f}",
-                    f'phase="{name}"',
-                )
-            )
-        lines += [
-            "# HELP disc_counter_total Algorithm counters (see trace schema).",
-            "# TYPE disc_counter_total counter",
-        ]
-        for name in COUNTERS:
-            lines.append(
-                self._line(
-                    "disc_counter_total", agg.counters[name], f'counter="{name}"'
-                )
-            )
-        lines += [
-            "# HELP disc_index_total Spatial-index statistics.",
-            "# TYPE disc_index_total counter",
-        ]
-        for name, value in agg.index.as_dict().items():
-            lines.append(self._line("disc_index_total", value, f'stat="{name}"'))
-        if agg.store is not None:
+        for group in GROUPS:
+            values = getattr(agg, group.key)
+            if values is None:
+                continue
             lines += [
-                "# HELP disc_store_gauge PointStore arena occupancy gauges.",
-                "# TYPE disc_store_gauge gauge",
+                f"# HELP {group.family} {group.help}",
+                f"# TYPE {group.family} {group.kind}",
             ]
-            for name, value in agg.store.items():
-                rendered = f"{value:.6f}" if name == "occupancy" else str(value)
-                lines.append(
-                    self._line("disc_store_gauge", rendered, f'stat="{name}"')
-                )
-        if agg.wal is not None:
-            lines += [
-                "# HELP disc_wal_total Write-ahead-log counters (cumulative).",
-                "# TYPE disc_wal_total counter",
-            ]
-            for name, value in agg.wal.items():
-                lines.append(self._line("disc_wal_total", value, f'stat="{name}"'))
-        if agg.journal is not None:
-            lines += [
-                "# HELP disc_journal_total Evolution-journal (CDC) counters "
-                "(cumulative).",
-                "# TYPE disc_journal_total counter",
-            ]
-            for name, value in agg.journal.items():
-                lines.append(
-                    self._line("disc_journal_total", value, f'stat="{name}"')
-                )
+            for name, value in values.items():
+                if isinstance(value, float):
+                    value = format(value, group.float_format)
+                lines.append(self._line(group.family, value, f'{group.label}="{name}"'))
         if agg.events:
             lines += [
                 "# HELP disc_events_total Cluster evolution events.",

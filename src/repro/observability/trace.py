@@ -18,92 +18,239 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable
+from dataclasses import dataclass
 from statistics import mean
 
-from repro.index.stats import FIELDS as INDEX_FIELDS
+from repro.common.counters import CounterGroup
+from repro.core.store import StoreGauges
 from repro.index.stats import IndexStats
+from repro.query.journal import JournalStats
+from repro.runtime.wal import WalStats
 
-#: Phase keys, in pipeline order (see ``DISC.advance``).
-PHASES = ("collect", "split_checks", "merge_checks", "maintenance")
+
+@dataclass
+class PhaseTimes(CounterGroup):
+    """Wall seconds of each pipeline phase, in order (see ``DISC.advance``)."""
+
+    collect: float = 0.0
+    split_checks: float = 0.0
+    merge_checks: float = 0.0
+    maintenance: float = 0.0
+
+
+@dataclass
+class AlgorithmCounters(CounterGroup):
+    """What COLLECT, the split/merge checks and MS-BFS did in one stride."""
+
+    num_inserted: int = 0
+    num_deleted: int = 0
+    collect_touched: int = 0
+    ex_cores: int = 0
+    neo_cores: int = 0
+    retro_classes: int = 0
+    nascent_classes: int = 0
+    connectivity_checks: int = 0
+    theorem1_skips: int = 0
+    msbfs_expansions: int = 0
+    msbfs_queue_merges: int = 0
+    msbfs_early_exits: int = 0
+
+
+#: Phase keys, in pipeline order.
+PHASES = tuple(PhaseTimes())
 
 #: Algorithm counter names carried by every trace record.
-COUNTERS = (
-    "num_inserted",
-    "num_deleted",
-    "collect_touched",
-    "ex_cores",
-    "neo_cores",
-    "retro_classes",
-    "nascent_classes",
-    "connectivity_checks",
-    "theorem1_skips",
-    "msbfs_expansions",
-    "msbfs_queue_merges",
-    "msbfs_early_exits",
+COUNTERS = tuple(AlgorithmCounters())
+
+
+@dataclass(frozen=True)
+class Group:
+    """One counter group of the trace, and how every export renders it.
+
+    Attributes:
+        key: block key in the JSONL record, and the attribute holding
+            the group on :class:`StrideTrace` and :class:`TraceAggregate`.
+        stats: the :class:`~repro.common.counters.CounterGroup` dataclass
+            declaring the fields.
+        summed: per-stride values summed over the run, present in every
+            record; otherwise a reading (gauges, or a log's cumulative
+            counters) whose latest value is kept, present once taken.
+        family, kind, label, help: the Prometheus metric family, its type,
+            the label naming a field, and the HELP text.
+        report: the operator report line(s) for the run value, given the
+            number of strides; ``None`` prints nothing.
+        float_format: how Prometheus renders the float fields.
+    """
+
+    key: str
+    stats: type[CounterGroup]
+    summed: bool
+    family: str
+    kind: str
+    label: str
+    help: str
+    report: Callable[[CounterGroup, int], str | None]
+    float_format: str = ".9f"
+
+
+def _phase_shares(phases: PhaseTimes, strides: int) -> str | None:
+    total = sum(phases.values())
+    if total <= 0:
+        return None
+    return "phases: " + ", ".join(
+        f"{name.replace('_', ' ')} {seconds / total:.0%}"
+        for name, seconds in phases.items()
+    )
+
+
+#: Every counter group of a trace record, in rendering order. Adding a
+#: group is one entry here: the record, the aggregate, the schema, the
+#: Prometheus textfile and the report all loop over this table.
+GROUPS = (
+    Group(
+        "phases",
+        PhaseTimes,
+        summed=True,
+        family="disc_phase_seconds_total",
+        kind="counter",
+        label="phase",
+        help="Wall time per pipeline phase.",
+        report=_phase_shares,
+    ),
+    Group(
+        "counters",
+        AlgorithmCounters,
+        summed=True,
+        family="disc_counter_total",
+        kind="counter",
+        label="counter",
+        help="Algorithm counters (see trace schema).",
+        report=lambda c, strides: (
+            f"cores: {c.ex_cores} ex, {c.neo_cores} neo; "
+            f"classes: {c.retro_classes} retro, {c.nascent_classes} nascent; "
+            f"theorem-1 skipped {c.theorem1_skips} checks\n"
+            f"ms-bfs: {c.connectivity_checks} checks, "
+            f"{c.msbfs_expansions} expansions, "
+            f"{c.msbfs_queue_merges} queue merges, "
+            f"{c.msbfs_early_exits} early exits"
+        ),
+    ),
+    Group(
+        "index",
+        IndexStats,
+        summed=True,
+        family="disc_index_total",
+        kind="counter",
+        label="stat",
+        help="Spatial-index statistics.",
+        report=lambda i, strides: (
+            f"index: {i.range_searches} range searches "
+            f"({i.range_searches / strides:.1f}/stride), "
+            f"{i.nodes_accessed} nodes, {i.entries_scanned} entries, "
+            f"{i.epoch_prunes} epoch prunes"
+        ),
+    ),
+    Group(
+        "store",
+        StoreGauges,
+        summed=False,
+        family="disc_store_gauge",
+        kind="gauge",
+        label="stat",
+        help="PointStore arena occupancy gauges.",
+        report=lambda s, strides: (
+            f"store: {s.slots}/{s.capacity} slots "
+            f"({s.occupancy:.0%} occupied), {s.slabs} slabs, "
+            f"{s.recycled} recycled, high water {s.high_water}"
+        ),
+        float_format=".6f",
+    ),
+    Group(
+        "wal",
+        WalStats,
+        summed=False,
+        family="disc_wal_total",
+        kind="counter",
+        label="stat",
+        help="Write-ahead-log counters (cumulative).",
+        report=lambda w, strides: (
+            f"wal: {w.appends} appends, {w.fsyncs} fsyncs, "
+            f"{w.bytes} bytes, {w.replayed} replayed, "
+            f"{w.truncated_tail} torn tails cut, "
+            f"{w.tenant_restarts} restarts"
+        ),
+    ),
+    Group(
+        "journal",
+        JournalStats,
+        summed=False,
+        family="disc_journal_total",
+        kind="counter",
+        label="stat",
+        help="Evolution-journal (CDC) counters (cumulative).",
+        report=lambda j, strides: (
+            f"journal: {j.appends} records, {j.fsyncs} fsyncs, "
+            f"{j.bytes} bytes, {j.reads} reads, "
+            f"{j.truncated_tail} torn tails cut, "
+            f"{j.compacted_segments} segments compacted"
+        ),
+    ),
 )
+
+
+def _start_groups(holder) -> None:
+    """Summed groups start at zero; readings stay ``None`` until taken."""
+    holder.events = {}
+    for group in GROUPS:
+        setattr(holder, group.key, group.stats() if group.summed else None)
+
+
+def _blocks(holder, summed: bool) -> dict:
+    """JSON blocks of ``holder``'s summed groups, or of its readings taken.
+
+    A record lists the summed blocks, then ``events``, then the readings.
+    """
+    blocks = {}
+    for group in GROUPS:
+        value = getattr(holder, group.key)
+        if group.summed == summed and value is not None:
+            blocks[group.key] = value.as_dict()
+    return blocks
 
 
 class StrideTrace:
     """Everything observed during one window advance.
 
-    Mutable by design: the COLLECT/CLUSTER/MS-BFS code increments the
-    counters in place while the stride runs; :class:`Tracer` seals the record
-    by emitting it to the sinks.
+    Mutable by design: the COLLECT/CLUSTER/MS-BFS code increments
+    ``counters`` in place while the stride runs, ``DISC.advance`` fills in
+    the phase times, the index delta and the store gauges, and
+    :class:`Tracer` takes the other readings and seals the record by
+    emitting it to the sinks. Each :data:`GROUPS` key is an attribute.
     """
 
-    __slots__ = (
-        "stride",
-        "elapsed_s",
-        "phases",
-        "index",
-        "store",
-        "wal",
-        "journal",
-        "events",
-        *COUNTERS,
-    )
+    __slots__ = ("stride", "elapsed_s", "events", *(g.key for g in GROUPS))
 
     def __init__(self, stride: int) -> None:
         self.stride = stride
         self.elapsed_s = 0.0
-        self.phases: dict[str, float] = dict.fromkeys(PHASES, 0.0)
-        self.index: IndexStats | None = None  # delta over the stride
-        # PointStore occupancy gauges at end of stride; DISC.advance always
-        # fills them in, a record built outside it leaves the key off.
-        self.store: dict | None = None
-        # Write-ahead-log counters at end of stride (WAL-enabled served
-        # sessions only; batch runs leave this None and the key off).
-        self.wal: dict | None = None
-        # Evolution-journal (CDC) counters, same convention as ``wal``.
-        self.journal: dict | None = None
-        self.events: dict[str, int] = {}
-        for name in COUNTERS:
-            setattr(self, name, 0)
+        _start_groups(self)
 
     def as_dict(self) -> dict:
         """JSON-friendly form — the JSONL trace schema (see ``schema.py``)."""
-        index = self.index if self.index is not None else IndexStats()
-        record = {
+        return {
             "stride": self.stride,
             "elapsed_s": self.elapsed_s,
-            "phases": dict(self.phases),
-            "counters": {name: getattr(self, name) for name in COUNTERS},
-            "index": index.as_dict(),
+            **_blocks(self, summed=True),
             "events": dict(self.events),
+            **_blocks(self, summed=False),
         }
-        if self.store is not None:
-            record["store"] = dict(self.store)
-        if self.wal is not None:
-            record["wal"] = dict(self.wal)
-        if self.journal is not None:
-            record["journal"] = dict(self.journal)
-        return record
 
     def __repr__(self) -> str:
         return (
             f"StrideTrace(stride={self.stride}, "
             f"elapsed_s={self.elapsed_s:.6f}, "
-            f"searches={0 if self.index is None else self.index.range_searches})"
+            f"searches={self.index.range_searches})"
         )
 
 
@@ -124,37 +271,26 @@ def percentile(values, q: float) -> float:
 
 
 class TraceAggregate:
-    """Running totals over every emitted stride trace."""
+    """Running totals over every emitted stride trace: summed groups are
+    summed, readings keep their latest value."""
 
     def __init__(self) -> None:
         self.strides = 0
         self.elapsed: list[float] = []
-        self.phases: dict[str, float] = dict.fromkeys(PHASES, 0.0)
-        self.counters: dict[str, int] = dict.fromkeys(COUNTERS, 0)
-        self.index = IndexStats()
-        self.store: dict | None = None  # latest PointStore gauges seen
-        self.wal: dict | None = None  # latest WAL counters seen (cumulative)
-        self.journal: dict | None = None  # latest CDC-journal counters seen
-        self.events: dict[str, int] = {}
+        _start_groups(self)
 
     def add(self, trace: StrideTrace) -> None:
         self.strides += 1
         self.elapsed.append(trace.elapsed_s)
-        if trace.store is not None:
-            self.store = dict(trace.store)
-        if trace.wal is not None:
-            self.wal = dict(trace.wal)
-        if trace.journal is not None:
-            self.journal = dict(trace.journal)
-        for name in PHASES:
-            self.phases[name] += trace.phases[name]
-        for name in COUNTERS:
-            self.counters[name] += getattr(trace, name)
-        if trace.index is not None:
-            for name in INDEX_FIELDS:
-                setattr(
-                    self.index, name, getattr(self.index, name) + getattr(trace.index, name)
-                )
+        for group in GROUPS:
+            value = getattr(trace, group.key)
+            if value is None:
+                continue
+            if group.summed:
+                value = getattr(self, group.key) + value
+            else:
+                value = value.snapshot()
+            setattr(self, group.key, value)
         for kind, count in trace.events.items():
             self.events[kind] = self.events.get(kind, 0) + count
 
@@ -169,21 +305,13 @@ class TraceAggregate:
         }
 
     def as_dict(self) -> dict:
-        out = {
+        return {
             "strides": self.strides,
             **self.latency_summary(),
-            "phases": dict(self.phases),
-            "counters": dict(self.counters),
-            "index": self.index.as_dict(),
+            **_blocks(self, summed=True),
             "events": dict(self.events),
+            **_blocks(self, summed=False),
         }
-        if self.store is not None:
-            out["store"] = dict(self.store)
-        if self.wal is not None:
-            out["wal"] = dict(self.wal)
-        if self.journal is not None:
-            out["journal"] = dict(self.journal)
-        return out
 
     def report(self) -> str:
         """Human-readable totals, one line per concern (operator format)."""
@@ -196,55 +324,11 @@ class TraceAggregate:
             f"p50 {latency['p50_stride_s'] * 1000:.2f} ms, "
             f"p95 {latency['p95_stride_s'] * 1000:.2f} ms"
         ]
-        total_phase = sum(self.phases.values())
-        if total_phase > 0:
-            share = ", ".join(
-                f"{name.replace('_', ' ')} {self.phases[name] / total_phase:.0%}"
-                for name in PHASES
-            )
-            lines.append(f"phases: {share}")
-        c = self.counters
-        lines.append(
-            f"cores: {c['ex_cores']} ex, {c['neo_cores']} neo; "
-            f"classes: {c['retro_classes']} retro, {c['nascent_classes']} nascent; "
-            f"theorem-1 skipped {c['theorem1_skips']} checks"
-        )
-        lines.append(
-            f"ms-bfs: {c['connectivity_checks']} checks, "
-            f"{c['msbfs_expansions']} expansions, "
-            f"{c['msbfs_queue_merges']} queue merges, "
-            f"{c['msbfs_early_exits']} early exits"
-        )
-        idx = self.index
-        lines.append(
-            f"index: {idx.range_searches} range searches "
-            f"({idx.range_searches / self.strides:.1f}/stride), "
-            f"{idx.nodes_accessed} nodes, {idx.entries_scanned} entries, "
-            f"{idx.epoch_prunes} epoch prunes"
-        )
-        if self.store is not None:
-            s = self.store
-            lines.append(
-                f"store: {s['slots']}/{s['capacity']} slots "
-                f"({s['occupancy']:.0%} occupied), {s['slabs']} slabs, "
-                f"{s['recycled']} recycled, high water {s['high_water']}"
-            )
-        if self.wal is not None:
-            w = self.wal
-            lines.append(
-                f"wal: {w['appends']} appends, {w['fsyncs']} fsyncs, "
-                f"{w['bytes']} bytes, {w['replayed']} replayed, "
-                f"{w['truncated_tail']} torn tails cut, "
-                f"{w['tenant_restarts']} restarts"
-            )
-        if self.journal is not None:
-            j = self.journal
-            lines.append(
-                f"journal: {j['appends']} records, {j['fsyncs']} fsyncs, "
-                f"{j['bytes']} bytes, {j['reads']} reads, "
-                f"{j['truncated_tail']} torn tails cut, "
-                f"{j['compacted_segments']} segments compacted"
-            )
+        for group in GROUPS:
+            value = getattr(self, group.key)
+            line = None if value is None else group.report(value, self.strides)
+            if line is not None:
+                lines.append(line)
         if self.events:
             lines.append(
                 "events: "
@@ -266,11 +350,9 @@ class Tracer:
     def __init__(self, *sinks) -> None:
         self.sinks = list(sinks)
         self.aggregate = TraceAggregate()
-        # When a served session attaches its WriteAheadLog here, every
-        # emitted stride record is stamped with the log's counters.
-        self.wal_source = None
-        # Same for its EvolutionJournal (CDC) counters.
-        self.journal_source = None
+        # Readings taken at every emit, by group key: a served session maps
+        # "wal" and "journal" to the stats of its WAL and CDC journal.
+        self.sources: dict[str, CounterGroup] = {}
         self._next_stride = 0
 
     def begin(self) -> StrideTrace:
@@ -281,10 +363,8 @@ class Tracer:
 
     def emit(self, trace: StrideTrace) -> None:
         """Seal a stride record: fold into the aggregate, fan out to sinks."""
-        if self.wal_source is not None:
-            trace.wal = self.wal_source.stats.as_dict()
-        if self.journal_source is not None:
-            trace.journal = self.journal_source.stats.as_dict()
+        for key, stats in self.sources.items():
+            setattr(trace, key, stats.snapshot())
         self.aggregate.add(trace)
         for sink in self.sinks:
             sink.emit(trace)

@@ -11,7 +11,6 @@ touching the live session.
 
 from repro.query.archive import ArchiveError, SnapshotArchive, stride_at_time
 from repro.query.journal import (
-    JOURNAL_FIELDS,
     EvolutionJournal,
     JournalError,
     JournalStats,
@@ -23,7 +22,6 @@ __all__ = [
     "ArchiveError",
     "SnapshotArchive",
     "stride_at_time",
-    "JOURNAL_FIELDS",
     "EvolutionJournal",
     "JournalError",
     "JournalStats",

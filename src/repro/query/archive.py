@@ -10,7 +10,8 @@ them. Nothing here touches the live session: snapshots are written by the
 session's single writer at the publish point, reads happen from files and
 the journal.
 
-Snapshot envelope (atomic tmp + fsync + rename, like checkpoints)::
+Snapshot envelope (written by :func:`~repro.runtime.store.write_atomic`, like
+checkpoints)::
 
     {"format": 1, "stride": 42, "crc32": ..., "payload":
         {"pid": [2, 5, ...], "label": [0, 0, ...], "cat": ["core", ...]}}
@@ -31,6 +32,7 @@ from pathlib import Path
 
 from repro.common.errors import ReproError
 from repro.query.journal import EvolutionJournal, apply_record
+from repro.runtime.store import write_atomic
 
 ARCHIVE_FORMAT = 1
 
@@ -123,12 +125,7 @@ class SnapshotArchive:
             "payload": payload,
         }
         final = self.directory / f"snap-{stride:010d}.json"
-        tmp = final.with_name(final.name + ".tmp")
-        with open(tmp, "wb") as handle:
-            handle.write(json.dumps(envelope, sort_keys=True).encode("utf-8"))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, final)
+        write_atomic(final, json.dumps(envelope, sort_keys=True).encode("utf-8"))
         if stride not in self._strides:
             self._strides.append(stride)
             self._strides.sort()

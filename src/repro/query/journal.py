@@ -41,20 +41,11 @@ import json
 import os
 from dataclasses import dataclass
 
+from repro.common.counters import CounterGroup
 from repro.common.limits import MAX_JOURNAL_RECORD_BYTES
 from repro.common.snapshot import Clustering
 from repro.core.events import StrideSummary
 from repro.runtime.wal import SegmentedLog, WalError
-
-#: Counter names surfaced through the trace schema and Prometheus exporter.
-JOURNAL_FIELDS = (
-    "appends",
-    "fsyncs",
-    "bytes",
-    "reads",
-    "truncated_tail",
-    "compacted_segments",
-)
 
 
 class JournalError(WalError):
@@ -62,8 +53,11 @@ class JournalError(WalError):
 
 
 @dataclass
-class JournalStats:
+class JournalStats(CounterGroup):
     """Cumulative counters of one journal (survives tenant restarts).
+
+    The fields are the ``journal`` block of STATS, the trace and the
+    Prometheus textfile.
 
     Attributes:
         appends: stride records appended.
@@ -80,9 +74,6 @@ class JournalStats:
     reads: int = 0
     truncated_tail: int = 0
     compacted_segments: int = 0
-
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in JOURNAL_FIELDS}
 
 
 # ------------------------------------------------------------------ records

@@ -50,7 +50,7 @@ from repro.runtime.policies import (
 from repro.runtime.stats import RuntimeStats
 from repro.runtime.store import CheckpointStore
 from repro.runtime.supervisor import Supervisor
-from repro.runtime.wal import WAL_FIELDS, WalError, WalStats, WriteAheadLog
+from repro.runtime.wal import WalError, WalStats, WriteAheadLog
 
 __all__ = [
     "ChaosKill",
@@ -65,7 +65,6 @@ __all__ = [
     "RuntimeHooks",
     "RuntimeStats",
     "Supervisor",
-    "WAL_FIELDS",
     "WalError",
     "WalStats",
     "WriteAheadLog",

@@ -176,7 +176,6 @@ class FlakyIndex(NeighborIndex):
         self.fail_after = fail_after
         self.exc = exc
         self.queries = 0
-        self.radius_cap = inner.radius_cap
 
     @property
     def stats(self):

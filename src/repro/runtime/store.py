@@ -50,6 +50,30 @@ def _canonical(payload: dict) -> bytes:
     ).encode("utf-8")
 
 
+def write_atomic(path: Path, data: bytes) -> None:
+    """Durably replace ``path`` with ``data`` (steps 1–4 above).
+
+    A crash at any moment leaves the old file or the complete new one,
+    never an empty or torn one.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as handle:
+        handle.write(data)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, path)
+    try:
+        fd = os.open(path.parent, os.O_RDONLY)
+    except OSError:  # pragma: no cover - platform without dir open
+        return
+    try:
+        os.fsync(fd)
+    except OSError:  # pragma: no cover - e.g. directories on some FSes
+        pass
+    finally:
+        os.close(fd)
+
+
 class CheckpointStore:
     """Directory-backed store of versioned, CRC-protected checkpoints.
 
@@ -102,28 +126,9 @@ class CheckpointStore:
             "payload": payload,
         }
         final = self.directory / f"checkpoint-{stride:010d}.json"
-        tmp = final.with_name(final.name + ".tmp")
-        data = json.dumps(envelope, sort_keys=True).encode("utf-8")
-        with open(tmp, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, final)
-        self._fsync_directory()
+        write_atomic(final, json.dumps(envelope, sort_keys=True).encode("utf-8"))
         self._rotate()
         return final
-
-    def _fsync_directory(self) -> None:
-        try:
-            fd = os.open(self.directory, os.O_RDONLY)
-        except OSError:  # pragma: no cover - platform without dir open
-            return
-        try:
-            os.fsync(fd)
-        except OSError:  # pragma: no cover - e.g. directories on some FSes
-            pass
-        finally:
-            os.close(fd)
 
     def _rotate(self) -> None:
         paths = self.checkpoints()

@@ -52,6 +52,7 @@ import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.common.counters import CounterGroup
 from repro.common.errors import ReproError
 from repro.common.limits import MAX_RECORD_BYTES  # noqa: F401  (re-export)
 from repro.common.points import StreamPoint
@@ -59,16 +60,6 @@ from repro.datasets.io import MalformedRecord
 
 #: fsync policies (see module docstring).
 FSYNC_POLICIES = ("always", "every_n", "interval")
-
-#: Counter names surfaced through the trace schema and Prometheus exporter.
-WAL_FIELDS = (
-    "appends",
-    "fsyncs",
-    "bytes",
-    "replayed",
-    "truncated_tail",
-    "tenant_restarts",
-)
 
 _HEADER = struct.Struct("<II")  # (body length, crc32 of body)
 
@@ -78,8 +69,11 @@ class WalError(ReproError):
 
 
 @dataclass
-class WalStats:
+class WalStats(CounterGroup):
     """Cumulative counters of one log (survives tenant restarts).
+
+    The fields are the ``wal`` block of STATS, the trace and the
+    Prometheus textfile.
 
     Attributes:
         appends: records appended (not counting replays).
@@ -97,9 +91,6 @@ class WalStats:
     replayed: int = 0
     truncated_tail: int = 0
     tenant_restarts: int = 0
-
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in WAL_FIELDS}
 
 
 # ------------------------------------------------------------------ encoding

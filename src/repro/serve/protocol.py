@@ -166,25 +166,40 @@ def encode_points(points) -> list[list]:
     return [p if isinstance(p, list) else encode_point(p) for p in points]
 
 
-def decode_point(row, seq: int) -> StreamPoint | MalformedRecord:
-    """Decode one wire row into a stream point.
+#: Types of a decoded JSON number, matched exactly: a bool is not a number.
+_NUMBER = frozenset((int, float))
 
-    A malformed row becomes a :class:`MalformedRecord` (with ``seq`` as its
-    line number) instead of an exception, so the session's input-fault
-    policy — not the transport — decides whether to raise, skip or clamp.
-    Non-finite coordinates are *not* rejected here for the same reason: the
-    guard's clamp policy must get the chance to repair them.
+
+def decode_point(row, seq: int) -> StreamPoint | MalformedRecord:
+    """Decode one wire row ``[pid, coords]`` or ``[pid, coords, time]``.
+
+    ``pid`` must be a JSON integer, ``coords`` a non-empty JSON list of
+    numbers and ``time`` a number; a bool is none of these. Any other row
+    becomes a :class:`MalformedRecord` (with ``seq`` as its line number)
+    instead of an exception, so the session's input-fault policy — not the
+    transport — decides whether to raise, skip or clamp. Non-finite
+    coordinates are *not* rejected here for the same reason: the guard's
+    clamp policy must get the chance to repair them.
     """
     try:
         pid, coords, *rest = row
-        time = float(rest[0]) if rest else 0.0
-        point = StreamPoint(
-            int(pid), tuple(float(c) for c in coords), time
-        )
-    except (TypeError, ValueError) as exc:
+        time = rest[0] if rest else 0.0
+        if (
+            type(pid) is not int
+            or type(coords) is not list
+            or not coords
+            or not _NUMBER.issuperset(map(type, coords))
+            or type(time) not in _NUMBER
+        ):
+            raise TypeError(
+                "want an integer pid, a non-empty list of numbers as coords "
+                "and a numeric time"
+            )
+        point = StreamPoint(pid, tuple(map(float, coords)), float(time))
+    except (TypeError, ValueError, OverflowError) as exc:
         return MalformedRecord(seq, repr(row), str(exc))
-    if not point.coords or not math.isfinite(point.time):
-        return MalformedRecord(seq, repr(row), "empty coords or bad timestamp")
+    if not math.isfinite(point.time):
+        return MalformedRecord(seq, repr(row), "non-finite timestamp")
     return point
 
 

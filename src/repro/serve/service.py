@@ -5,7 +5,7 @@ A :class:`ClusterService` is the server's in-process core (the TCP layer in
 drive it directly). It owns the tenant map and the durability layout: under
 ``data_dir`` each tenant gets ::
 
-    <data_dir>/<tenant>/session.json    # SessionConfig, written atomically
+    <data_dir>/<tenant>/session.json    # SessionConfig (write_atomic)
     <data_dir>/<tenant>/ckpt/           # the Supervisor's CheckpointStore
     <data_dir>/<tenant>/wal/            # write-ahead log segments (opt-in)
     <data_dir>/<tenant>/evj/            # evolution journal (CDC) segments
@@ -38,6 +38,7 @@ from pathlib import Path
 from repro._version import __version__
 from repro.query.archive import SnapshotArchive
 from repro.query.journal import EvolutionJournal
+from repro.runtime.store import write_atomic
 from repro.runtime.wal import WriteAheadLog
 from repro.serve.config import SessionConfig
 from repro.serve.protocol import ServeError
@@ -429,9 +430,7 @@ class ClusterService:
     @staticmethod
     def _write_meta(path: Path, config: SessionConfig) -> None:
         payload = {"version": __version__, "config": config.as_dict()}
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(payload, indent=2), encoding="utf-8")
-        os.replace(tmp, path)
+        write_atomic(path, json.dumps(payload, indent=2).encode("utf-8"))
 
     @staticmethod
     def _read_meta(path: Path) -> SessionConfig:

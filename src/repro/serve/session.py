@@ -294,9 +294,9 @@ class TenantSession:
         self.evjournal = evjournal
         self.archive = archive
         if tracer is not None and wal is not None:
-            tracer.wal_source = wal
+            tracer.sources["wal"] = wal.stats
         if tracer is not None and evjournal is not None:
-            tracer.journal_source = evjournal
+            tracer.sources["journal"] = evjournal.stats
         needs_hooks = wal is not None or evjournal is not None or archive is not None
         self.supervisor = Supervisor(
             config.eps,

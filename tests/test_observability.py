@@ -8,10 +8,14 @@ truth) and whose MS-BFS / epoch counters reflect the ablation flags (the
 Figure 8 source of truth).
 """
 
+import itertools
 import json
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from repro._version import __version__
 from repro.common.config import WindowSpec
 from repro.common.errors import ConfigurationError
 from repro.core.disc import DISC
@@ -29,8 +33,14 @@ from repro.observability import (
     validate_trace_file,
     validate_trace_record,
 )
+from repro.query.journal import JournalStats
+from repro.runtime.wal import WalStats
+from repro.serve.config import SessionConfig
+from repro.serve.session import TenantSession
 from repro.window.sliding import materialize_slides
 from tests.conftest import clustered_stream
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def traced_run(seed=1, n=240, spec=WindowSpec(80, 20), **disc_kwargs):
@@ -93,7 +103,7 @@ class TestStrideTrace:
         trace = StrideTrace(7)
         assert trace.stride == 7
         for name in COUNTERS:
-            assert getattr(trace, name) == 0
+            assert getattr(trace.counters, name) == 0
         assert set(trace.phases) == set(PHASES)
 
     def test_repr_mentions_stride(self):
@@ -128,10 +138,10 @@ class TestDiscTracing:
         spec = WindowSpec(80, 20)
         _, _, sink = traced_run(spec=spec)
         slides = materialize_slides(clustered_stream(1, 240), spec)
-        assert [t.num_inserted for t in sink.records] == [
+        assert [t.counters.num_inserted for t in sink.records] == [
             len(delta_in) for delta_in, _ in slides
         ]
-        assert [t.num_deleted for t in sink.records] == [
+        assert [t.counters.num_deleted for t in sink.records] == [
             len(delta_out) for _, delta_out in slides
         ]
 
@@ -175,10 +185,10 @@ class TestDiscTracing:
         # Per stride, skips = sum over retro classes of (len(class) - 1), so
         # they can never exceed the stride's ex-cores minus its classes.
         for trace in sink.records:
+            c = trace.counters
             assert (
-                trace.theorem1_skips
-                <= max(0, trace.ex_cores - trace.retro_classes)
-                or trace.retro_classes == 0
+                c.theorem1_skips <= max(0, c.ex_cores - c.retro_classes)
+                or c.retro_classes == 0
             )
         assert tracer.aggregate.counters["theorem1_skips"] >= 0
 
@@ -328,6 +338,62 @@ class TestSchemaValidation:
         path.write_text("\n" + json.dumps(self.valid()) + "\n\n")
         assert validate_trace_file(path) == 1
 
+    def valid_with_optional_blocks(self):
+        record = self.valid()
+        record["store"] = {
+            "slots": 3,
+            "capacity": 1024,
+            "slabs": 1,
+            "free": 0,
+            "recycled": 0,
+            "high_water": 3,
+            "occupancy": 3 / 1024,
+        }
+        record["wal"] = dict.fromkeys(
+            ("appends", "fsyncs", "bytes", "replayed", "truncated_tail",
+             "tenant_restarts"),
+            2,
+        )
+        record["journal"] = dict.fromkeys(
+            ("appends", "fsyncs", "bytes", "reads", "truncated_tail",
+             "compacted_segments"),
+            2,
+        )
+        return record
+
+    def test_optional_blocks_accepted(self):
+        validate_trace_record(self.valid_with_optional_blocks())
+
+    def test_unknown_wal_key_rejected(self):
+        record = self.valid_with_optional_blocks()
+        record["wal"]["rotations"] = 1
+        with pytest.raises(TraceSchemaError, match="'wal' has unknown keys"):
+            validate_trace_record(record)
+
+    def test_missing_journal_key_rejected(self):
+        record = self.valid_with_optional_blocks()
+        del record["journal"]["fsyncs"]
+        with pytest.raises(TraceSchemaError, match=r"'journal' missing.*fsyncs"):
+            validate_trace_record(record)
+
+    def test_occupancy_above_one_rejected(self):
+        record = self.valid_with_optional_blocks()
+        record["store"]["occupancy"] = 1.5
+        with pytest.raises(TraceSchemaError, match="store.occupancy"):
+            validate_trace_record(record)
+
+    def test_negative_wal_counter_rejected(self):
+        record = self.valid_with_optional_blocks()
+        record["wal"]["fsyncs"] = -1
+        with pytest.raises(TraceSchemaError, match="wal.fsyncs"):
+            validate_trace_record(record)
+
+    def test_bool_in_store_rejected(self):
+        record = self.valid_with_optional_blocks()
+        record["store"]["slots"] = True
+        with pytest.raises(TraceSchemaError, match="store.slots"):
+            validate_trace_record(record)
+
 
 class TestPrometheusExporter:
     def test_exposition_format(self, tmp_path):
@@ -379,6 +445,82 @@ class TestPrometheusExporter:
     def test_render_without_records(self, tmp_path):
         exporter = PrometheusTextfileExporter(tmp_path / "x.prom")
         assert "disc_strides_total 0" in exporter.render()
+
+
+class _StandIn:
+    """A WAL or CDC journal as a tracer sees it: just its ``stats``."""
+
+    def __init__(self, stats) -> None:
+        self.stats = stats
+
+
+def pinned_outputs(directory: Path) -> tuple[str, str, str]:
+    """A fixed traced run: (JSONL lines, Prometheus text, ``report()``).
+
+    The clock steps through k*k/1024 s on every read, so phase timings are
+    exact binary fractions. The WAL and journal are stand-ins wired the
+    way a served session wires them, with counters bumped before every
+    stride. The build version in the Prometheus text becomes ``VERSION``.
+    """
+    ticks = itertools.count()
+    clock = lambda: next(ticks) ** 2 / 1024  # noqa: E731
+    jsonl = directory / "trace.jsonl"
+    prom = directory / "metrics.prom"
+    tracer = Tracer(JsonlTraceWriter(jsonl), PrometheusTextfileExporter(prom))
+    wal, journal = _StandIn(WalStats()), _StandIn(JournalStats())
+    TenantSession(
+        "pinned",
+        SessionConfig(eps=0.7, tau=4, window=80, stride=20),
+        tracer=tracer,
+        wal=wal,
+        evjournal=journal,
+    )
+    disc = DISC(0.7, 4, tracer=tracer)
+    slides = materialize_slides(clustered_stream(12, 200), WindowSpec(80, 20))
+    with mock.patch("repro.observability.trace.perf_counter", clock):
+        for number, (delta_in, delta_out) in enumerate(slides):
+            wal.stats.appends += len(delta_in)
+            wal.stats.fsyncs += 1
+            wal.stats.bytes += 37 * len(delta_in)
+            wal.stats.replayed = 5
+            wal.stats.truncated_tail = number // 4
+            wal.stats.tenant_restarts = number // 6
+            journal.stats.appends += 1
+            journal.stats.fsyncs += 1
+            journal.stats.bytes += 101 + number
+            journal.stats.reads += 2 * number
+            journal.stats.truncated_tail = number // 5
+            journal.stats.compacted_segments = number // 3
+            disc.advance(delta_in, delta_out)
+    tracer.close()
+    metrics = prom.read_text(encoding="utf-8").replace(
+        f'version="{__version__}"', 'version="VERSION"'
+    )
+    return jsonl.read_text(encoding="utf-8"), metrics, tracer.report() + "\n"
+
+
+class TestPinnedOutputs:
+    """The three operator-facing outputs of one fixed run, byte for byte."""
+
+    @pytest.fixture(scope="class")
+    def outputs(self, tmp_path_factory):
+        return pinned_outputs(tmp_path_factory.mktemp("pinned"))
+
+    def test_jsonl_lines(self, outputs):
+        assert outputs[0] == (GOLDEN / "strides.jsonl").read_text(encoding="utf-8")
+
+    def test_prometheus_text(self, outputs):
+        assert outputs[1] == (GOLDEN / "metrics.txt").read_text(encoding="utf-8")
+
+    def test_report_text(self, outputs):
+        assert outputs[2] == (GOLDEN / "report.txt").read_text(encoding="utf-8")
+
+    def test_every_block_is_present_and_valid(self, outputs, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(outputs[0], encoding="utf-8")
+        assert validate_trace_file(path) == 10
+        last = json.loads(outputs[0].splitlines()[-1])
+        assert {"store", "wal", "journal"} <= set(last)
 
 
 class TestApiWiring:

@@ -51,12 +51,13 @@ def test_range_searches_match_the_ledger(
     for delta_in, delta_out in slides:
         disc.advance(delta_in, delta_out)
         trace = sink.records[-1]
+        c = trace.counters
         ledger = (
-            trace.num_inserted
-            + trace.num_deleted
-            + trace.ex_cores
-            + trace.neo_cores
-            + trace.msbfs_expansions
+            c.num_inserted
+            + c.num_deleted
+            + c.ex_cores
+            + c.neo_cores
+            + c.msbfs_expansions
             + repairs[-1]
         )
         assert trace.index.range_searches == ledger, f"stride {trace.stride}"

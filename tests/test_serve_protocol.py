@@ -101,6 +101,35 @@ class TestPoints:
         # NaN coords must reach the guard so `clamp` can repair them.
         decoded = decode_point([1, [float("nan"), 1.0], 0.0], 0)
         assert isinstance(decoded, StreamPoint)
+        decoded = decode_point([1, [float("inf"), float("-inf")], 0.0], 0)
+        assert isinstance(decoded, StreamPoint)
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [1, "12", 0.0],  # a string as coords
+            [1, {"1": 0, "2": 0}, 0.0],  # an object as coords
+            [1, [True, 2.0], 0.0],  # a bool is not a number
+            [1, [1.0, "2"], 0.0],
+            [1, [1.0, None], 0.0],
+            [1, [[1.0], 2.0], 0.0],
+            [1, [10**400], 0.0],  # an integer beyond the float range
+            ["7", [1.0], 0.0],  # a pid sent as a string
+            [1.9, [1.0], 0.0],  # a fractional pid
+            [1.0, [1.0], 0.0],
+            [True, [1.0], 0.0],
+            [1, [1.0], "5"],  # a time sent as a string
+            [1, [1.0], True],
+            [1, [1.0], None],
+        ],
+    )
+    def test_mistyped_row_is_malformed(self, row):
+        decoded = decode_point(row, 3)
+        assert isinstance(decoded, MalformedRecord)
+        assert decoded.line_no == 3
+
+    def test_integer_coords_and_time_are_numbers(self):
+        assert decode_point([1, [2, -3], 5], 0) == StreamPoint(1, (2.0, -3.0), 5.0)
 
     def test_decode_points_preserves_order_and_seq(self):
         rows = [[1, [0.0], 0.0], "garbage", [2, [1.0], 1.0]]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 
 import pytest
 
@@ -103,6 +104,38 @@ class TestDurability:
         meta = json.loads((tmp_path / "alpha" / "session.json").read_text())
         assert SessionConfig.from_dict(meta["config"]) == CONFIG
         assert list((tmp_path / "alpha" / "ckpt").glob("checkpoint-*.json"))
+
+    def test_session_metadata_is_fsynced_before_the_rename(
+        self, tmp_path, monkeypatch
+    ):
+        """A power loss must not leave an empty session.json: its bytes are
+        fsynced before the rename, and the directory after it."""
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            calls.append(("fsync", os.fstat(fd).st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append(("replace", os.fspath(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+
+        async def scenario():
+            service = ClusterService(data_dir=tmp_path)
+            service.open("alpha", CONFIG)
+            during_open = list(calls)
+            await service.shutdown()
+            return during_open
+
+        during_open = run(scenario())
+        meta = tmp_path / "alpha" / "session.json"
+        rename = during_open.index(("replace", os.fspath(meta)))
+        assert ("fsync", meta.stat().st_ino) in during_open[:rename]
+        assert ("fsync", meta.parent.stat().st_ino) in during_open[rename:]
 
     def test_resume_all_restores_every_tenant(self, tmp_path):
         points = {name: clustered_stream(i, 240) for i, name in enumerate(["a1", "a2"])}

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.store import (
-    COUNTER_FIELDS,
     DELETED,
     NO_ID,
     SLAB_SLOTS,
@@ -88,7 +87,15 @@ class TestFreeListRecycling:
         fill(store, 6)
         store.free([0])
         counters = store.counters()
-        assert tuple(counters) == COUNTER_FIELDS
+        assert tuple(counters) == (
+            "slots",
+            "capacity",
+            "slabs",
+            "free",
+            "recycled",
+            "high_water",
+            "occupancy",
+        )
         assert counters["slots"] == 5
         assert counters["free"] == 1
         assert counters["capacity"] == SLAB_SLOTS
