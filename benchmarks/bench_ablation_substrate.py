@@ -125,8 +125,8 @@ def test_ablation_bulk_load(benchmark):
     for key, (bulk_ms, insert_ms, bulk_probe, grown_probe) in shape.items():
         assert bulk_ms < insert_ms, f"{key}: bulk load slower than insertion"
         # Construction is the headline win (typically >50x). Probe quality is
-        # usually on par; in 4D the STR slab tiling can trail the quadratic
-        # split a little, so allow slack.
+        # usually on par; in 4D the STR slab tiling can trail the sort split
+        # a little, so allow slack.
         assert bulk_probe <= grown_probe * 2.0, (
             f"{key}: bulk-loaded tree probes much slower"
         )

@@ -113,20 +113,51 @@ class NeighborIndex(ABC):
     # ---------------------------------------------------------- batched layer
 
     def insert_many(self, items: Iterable[tuple[int, Sequence[float]]]) -> None:
-        """Index a batch of (pid, coords) pairs.
+        """Index a batch of (pid, coords) pairs, all or nothing.
 
-        Equivalent to inserting one by one, in order; backends with bulk
-        construction machinery (STR packing) override this.
+        Equivalent to inserting one by one, in order, except that a batch
+        naming a pid twice or a pid already indexed raises
+        :class:`IndexError_` before anything changes. Backends with bulk
+        construction machinery (STR packing) override this and keep that
+        guarantee.
         """
+        items = list(items)
+        self._check_new(items)
         insert = self.insert
         for pid, coords in items:
             insert(pid, coords)
 
     def delete_many(self, pids: Iterable[int]) -> None:
-        """Remove a batch of points, in order."""
+        """Remove a batch of points, in order, all or nothing.
+
+        A batch naming a pid twice or a pid not indexed raises
+        :class:`IndexError_` before anything changes.
+        """
+        pids = list(pids)
+        self._check_known(pids)
         delete = self.delete
         for pid in pids:
             delete(pid)
+
+    def _check_new(self, items: Sequence[tuple[int, Sequence[float]]]) -> None:
+        """Raise unless every pid of an insert batch is distinct and new."""
+        seen: set[int] = set()
+        for pid, _ in items:
+            if pid in seen:
+                raise IndexError_(f"point {pid} appears twice in the batch")
+            if pid in self:
+                raise IndexError_(f"point {pid} is already indexed")
+            seen.add(pid)
+
+    def _check_known(self, pids: Sequence[int]) -> None:
+        """Raise unless every pid of a delete batch is distinct and indexed."""
+        seen: set[int] = set()
+        for pid in pids:
+            if pid in seen:
+                raise IndexError_(f"point {pid} appears twice in the batch")
+            if pid not in self:
+                raise IndexError_(f"point {pid} is not indexed")
+            seen.add(pid)
 
     def ball_many(
         self, centers: Sequence[Sequence[float]], radius: float

@@ -69,7 +69,10 @@ class EpochAdapter(NeighborIndex):
         del self._epochs[pid]
 
     def insert_many(self, items: Iterable[tuple[int, Sequence[float]]]) -> None:
+        # Validated here too, so a wrapped backend that breaks the
+        # all-or-nothing contract still cannot desync the epochs.
         items = list(items)
+        self._check_new(items)
         self.inner.insert_many(items)
         epochs = self._epochs
         for pid, _ in items:
@@ -77,6 +80,7 @@ class EpochAdapter(NeighborIndex):
 
     def delete_many(self, pids: Iterable[int]) -> None:
         pids = list(pids)
+        self._check_known(pids)
         self.inner.delete_many(pids)
         epochs = self._epochs
         for pid in pids:

@@ -1,10 +1,12 @@
 """An in-memory R-tree with epoch-based probing (paper Section IV-B).
 
-This is a classic Guttman R-tree (quadratic split, condense-tree deletion)
-over points, extended with *epochs of a visiting history*: every leaf entry
-and every node carries an epoch counter. A range search bound to the current
-*tick* skips any entry or subtree whose epoch already equals the tick, and
-marks what it returns — so repeated, overlapping range searches issued by one
+This is a Guttman R-tree over points (least-enlargement choose-leaf,
+condense-tree deletion) whose overflowing nodes split by sorting their
+children along the node's widest side and cutting them in half. It is
+extended with *epochs of a visiting history*: every leaf entry and every
+node carries an epoch counter. A range search bound to the current *tick*
+skips any entry or subtree whose epoch already equals the tick, and marks
+what it returns — so repeated, overlapping range searches issued by one
 MS-BFS instance never re-report a point, and fully-visited subtrees are pruned
 wholesale without any reset pass between MS-BFS instances (Algorithm 4).
 
@@ -26,18 +28,39 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from heapq import heappop as _heappop, heappush as _heappush
+from operator import le
 
 from repro.common.errors import IndexError_
-from repro.index import geometry as geo
 from repro.index.base import NeighborIndex
 from repro.index.stats import IndexStats
 
 Coords = tuple[float, ...]
+Rect = tuple[Coords, Coords]
 
-# A small fanout wins in pure Python: split cost is quadratic in the node
-# size and dominates maintenance, while search cost is fanout-insensitive.
+# A small fanout keeps every leaf scan and split sort short. Re-measured with
+# the sort split on the offline DTG job, fanouts 12 and 16 ran a stride no
+# faster than 8 (docs/performance.md), so 8 stays.
 DEFAULT_MAX_ENTRIES = 8
 DEFAULT_MIN_ENTRIES = 3
+
+
+def mindist_sq(rect: Rect, point: Sequence[float]) -> float:
+    """Squared distance from ``point`` to the nearest face of ``rect``.
+
+    Zero when the point is inside. This is the standard R-tree pruning bound:
+    a ball of radius r around ``point`` intersects ``rect`` iff
+    ``mindist_sq <= r*r``.
+    """
+    total = 0.0
+    for lo, hi, x in zip(rect[0], rect[1], point):
+        if x < lo:
+            diff = lo - x
+        elif x > hi:
+            diff = x - hi
+        else:
+            continue
+        total += diff * diff
+    return total
 
 
 class _Entry:
@@ -65,10 +88,10 @@ class _Node:
         self.epoch = 0
 
     @property
-    def rect(self) -> geo.Rect:
+    def rect(self) -> Rect:
         return self.lows, self.highs
 
-    def child_rect(self, child) -> geo.Rect:
+    def child_rect(self, child) -> Rect:
         if self.leaf:
             return child.coords, child.coords
         return child.lows, child.highs
@@ -169,14 +192,10 @@ class RTree(NeighborIndex):
         return tree
 
     def _bulk_build(self, items: Sequence[tuple[int, Sequence[float]]]) -> None:
-        """STR-pack ``items`` into this (empty) tree."""
-        entries = []
-        for pid, coords in items:
-            if pid in self._where:
-                raise IndexError_(f"duplicate pid {pid} in bulk load")
-            entry = _Entry(pid, tuple(coords))
-            entries.append(entry)
-            self._where[pid] = None  # type: ignore[assignment] - fixed below
+        """STR-pack ``items`` into this (empty) tree, all or nothing."""
+        items = list(items)
+        self._check_new(items)
+        entries = [_Entry(pid, tuple(coords)) for pid, coords in items]
         if not entries:
             return
         dim = len(entries[0].coords)
@@ -194,15 +213,17 @@ class RTree(NeighborIndex):
 
         Filling an empty tree (a window prefill, a rebuild) reuses the
         Sort-Tile-Recursive machinery of :meth:`bulk_load` — near-full nodes,
-        little overlap, far cheaper than one quadratic-split insertion per
-        point. A non-empty tree falls back to ordered insertion. Query
-        results are identical either way; only the tree shape differs.
+        little overlap, far cheaper than one insertion per point. A non-empty
+        tree falls back to ordered insertion. Query results are identical
+        either way; only the tree shape differs. A rejected batch leaves the
+        tree unchanged on both paths.
         """
         items = list(items)
         if not self._where and len(items) > self._max:
             self._bulk_build(items)
             self.stats.inserts += len(items)
             return
+        self._check_new(items)
         for pid, coords in items:
             self.insert(pid, coords)
 
@@ -232,10 +253,8 @@ class RTree(NeighborIndex):
                 items[i : i + capacity] for i in range(0, len(items), capacity)
             ]
             return self._rebalance_tail(pages)
-        import math as _math
-
-        n_pages = _math.ceil(len(items) / capacity)
-        per_slab = capacity * _math.ceil(
+        n_pages = math.ceil(len(items) / capacity)
+        per_slab = capacity * math.ceil(
             n_pages ** ((dim - key_dim - 1) / (dim - key_dim))
         )
         items.sort(key=lambda it: it[0][key_dim])
@@ -308,7 +327,8 @@ class RTree(NeighborIndex):
         current: _Node | None = node
         while current is not None:
             if current.lows:
-                current.lows, current.highs = geo.extend(current.rect, coords)
+                current.lows = tuple(map(min, current.lows, coords))
+                current.highs = tuple(map(max, current.highs, coords))
             else:
                 current.lows, current.highs = coords, coords
             current.epoch = 0
@@ -317,7 +337,7 @@ class RTree(NeighborIndex):
     # ------------------------------------------------------------------- split
 
     def _split(self, node: _Node) -> None:
-        """Quadratic split; may propagate up to (and grow) the root."""
+        """Split an overflowing node; may propagate up to (and grow) the root."""
         while node is not None and len(node.children) > self._max:
             sibling = self._split_node(node)
             parent = node.parent
@@ -336,88 +356,38 @@ class RTree(NeighborIndex):
             node = parent
 
     def _split_node(self, node: _Node) -> _Node:
-        children = node.children
-        seed_a, seed_b = self._pick_seeds(node)
-        group_a = [children[seed_a]]
-        group_b = [children[seed_b]]
-        rect_a = node.child_rect(children[seed_a])
-        rect_b = node.child_rect(children[seed_b])
-        remaining = [
-            c for i, c in enumerate(children) if i not in (seed_a, seed_b)
-        ]
-        while remaining:
-            # Force-assign when one group must absorb all leftovers to reach
-            # the minimum fill.
-            if len(group_a) + len(remaining) <= self._min:
-                group_a.extend(remaining)
-                for c in remaining:
-                    rect_a = geo.combine(rect_a, node.child_rect(c))
-                break
-            if len(group_b) + len(remaining) <= self._min:
-                group_b.extend(remaining)
-                for c in remaining:
-                    rect_b = geo.combine(rect_b, node.child_rect(c))
-                break
-            child, pref_a = self._pick_next(node, remaining, rect_a, rect_b)
-            remaining.remove(child)
-            if pref_a:
-                group_a.append(child)
-                rect_a = geo.combine(rect_a, node.child_rect(child))
-            else:
-                group_b.append(child)
-                rect_b = geo.combine(rect_b, node.child_rect(child))
+        """Sort split: cut the children in half along the widest MBR side.
 
+        Entries sort by coordinate and child nodes by MBR centre on the axis
+        where the node is widest; the first half stays and the rest move to
+        a new sibling. Both halves hold at least ``min_entries`` children
+        because ``min_entries <= max_entries // 2`` is enforced at
+        construction. Each half's epoch is the minimum of its children's, so
+        a half is pruned only when everything under it was visited.
+        """
+        lows, highs = node.lows, node.highs
+        axis = max(range(len(lows)), key=lambda d: highs[d] - lows[d])
+        children = node.children
+        if node.leaf:
+            children.sort(key=lambda entry: entry.coords[axis])
+        else:
+            # Twice the centre: the same order without a division.
+            children.sort(key=lambda child: child.lows[axis] + child.highs[axis])
+        half = len(children) // 2
         sibling = _Node(leaf=node.leaf)
-        node.children = group_a
-        sibling.children = group_b
+        node.children = children[:half]
+        sibling.children = children[half:]
         node.recompute_rect()
         sibling.recompute_rect()
+        node.epoch = min(child.epoch for child in node.children)
+        sibling.epoch = min(child.epoch for child in sibling.children)
         if node.leaf:
-            node.epoch = min(e.epoch for e in group_a)
-            sibling.epoch = min(e.epoch for e in group_b)
-            for entry in group_b:
+            for entry in sibling.children:
                 self._where[entry.pid] = sibling
         else:
-            node.epoch = min(c.epoch for c in group_a)
-            sibling.epoch = min(c.epoch for c in group_b)
-            for child in group_b:
+            for child in sibling.children:
                 child.parent = sibling
         return sibling
-
-    def _pick_seeds(self, node: _Node) -> tuple[int, int]:
-        children = node.children
-        worst = -1.0
-        pair = (0, 1)
-        for i in range(len(children)):
-            rect_i = node.child_rect(children[i])
-            for j in range(i + 1, len(children)):
-                rect_j = node.child_rect(children[j])
-                waste = (
-                    geo.area(geo.combine(rect_i, rect_j))
-                    - geo.area(rect_i)
-                    - geo.area(rect_j)
-                )
-                if waste > worst:
-                    worst = waste
-                    pair = (i, j)
-        return pair
-
-    def _pick_next(self, node, remaining, rect_a, rect_b):
-        best = None
-        best_diff = -1.0
-        best_pref_a = True
-        for child in remaining:
-            rect = node.child_rect(child)
-            grow_a = geo.enlargement(rect_a, rect)
-            grow_b = geo.enlargement(rect_b, rect)
-            diff = abs(grow_a - grow_b)
-            if diff > best_diff:
-                best = child
-                best_diff = diff
-                best_pref_a = grow_a < grow_b or (
-                    grow_a == grow_b and geo.area(rect_a) <= geo.area(rect_b)
-                )
-        return best, best_pref_a
 
     # ------------------------------------------------------------------ delete
 
@@ -487,7 +457,7 @@ class RTree(NeighborIndex):
                         results.append((entry.pid, entry.coords))
             else:
                 for child in node.children:
-                    # geo.mindist_sq inlined: this test runs for every child
+                    # mindist_sq inlined: this test runs for every child
                     # of every visited node and dominates search time.
                     min_sq = 0.0
                     for lo, hi, x in zip(child.lows, child.highs, center):
@@ -538,7 +508,7 @@ class RTree(NeighborIndex):
                     heappush(
                         heap,
                         (
-                            math.sqrt(geo.mindist_sq(child.rect, center)),
+                            math.sqrt(mindist_sq(child.rect, center)),
                             counter,
                             False,
                             child,
@@ -627,7 +597,7 @@ class RTree(NeighborIndex):
                 # payoff Algorithm 4 exists for.
                 self.stats.epoch_prunes += 1
             else:
-                # geo.mindist_sq inlined (hot path, see ball()).
+                # mindist_sq inlined (hot path, see ball()).
                 min_sq = 0.0
                 for lo, hi, x in zip(child.lows, child.highs, center):
                     if x < lo:
@@ -676,12 +646,14 @@ class RTree(NeighborIndex):
         if not is_root:
             assert len(node.children) >= self._min, "underfull node"
         assert len(node.children) <= self._max, "overfull node"
-        if node.children:
-            node_rect = node.rect
-            for child in node.children:
-                child_rect = node.child_rect(child)
-                combined = geo.combine(node_rect, child_rect)
-                assert combined == node_rect, "child escapes parent MBR"
+        for child in node.children:
+            child_lows, child_highs = node.child_rect(child)
+            assert all(map(le, node.lows, child_lows)) and all(
+                map(le, child_highs, node.highs)
+            ), "child escapes parent MBR"
+            # A node prunes only what is visited: its epoch never exceeds
+            # any child's (it may lag behind them).
+            assert node.epoch <= child.epoch, "node epoch above a child's"
         if node.leaf:
             for entry in node.children:
                 assert entry.pid not in seen, "duplicate pid in tree"

@@ -122,6 +122,59 @@ class TestMutation:
             assert backend.coords_of(pid) == coords
 
 
+# Each case: (points indexed first, batch method, a batch it must reject).
+REJECTED_BATCHES = {
+    # On an empty R-tree this batch takes the STR bulk path.
+    "in-batch duplicate, empty index": (
+        [],
+        "insert_many",
+        [(i, (i / 4, 0.0)) for i in range(12)] + [(3, (2.0, 2.0))],
+    ),
+    "in-batch duplicate": (
+        cloud(30, seed=23),
+        "insert_many",
+        [(100 + i, (i / 4, 1.0)) for i in range(5)] + [(102, (2.0, 2.0))],
+    ),
+    "pid already indexed": (
+        cloud(30, seed=23),
+        "insert_many",
+        [(100 + i, (i / 4, 1.0)) for i in range(5)] + [(7, (2.0, 2.0))],
+    ),
+    "unknown pid": (cloud(30, seed=23), "delete_many", [0, 1, 2, 999]),
+    "pid deleted twice": (cloud(30, seed=23), "delete_many", [0, 1, 2, 1]),
+}
+
+
+class TestRejectedBatches:
+    """A rejected batch raises and leaves the backend exactly as it was."""
+
+    @pytest.mark.parametrize("case", sorted(REJECTED_BATCHES))
+    @pytest.mark.parametrize("wrapped", [False, True], ids=["raw", "with_epochs"])
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_rejected_batch_changes_nothing(self, name, wrapped, case):
+        prefill, method, batch = REJECTED_BATCHES[case]
+        index = make_backend(name)
+        if wrapped:
+            index = with_epochs(index)
+        index.insert_many(prefill)
+        items, stats = sorted(index.items()), index.stats.snapshot()
+        with pytest.raises(IndexError_):
+            getattr(index, method)(batch)
+        assert sorted(index.items()) == items
+        assert len(index) == len(items)
+        assert index.stats == stats
+        for pid, _ in items:
+            assert pid in index
+        index.check_invariants()
+        if wrapped:
+            # Every indexed point still has an epoch and nothing else does.
+            tick = index.new_tick()
+            for _, coords in items:
+                index.ball_unvisited(coords, EPS, tick)
+            with pytest.raises(IndexError_):
+                index.mark(999, tick)
+
+
 class TestBatchedLayer:
     """The batched API must be indistinguishable from per-point loops."""
 

@@ -1,66 +1,21 @@
-"""Unit tests for MBR arithmetic."""
+"""Unit tests for the R-tree's MBR pruning bound."""
 
-import pytest
-
-from repro.index import geometry as geo
-
-
-class TestRectBasics:
-    def test_point_rect(self):
-        rect = geo.point_rect((1.0, 2.0))
-        assert rect == ((1.0, 2.0), (1.0, 2.0))
-        assert geo.area(rect) == 0.0
-
-    def test_combine(self):
-        a = ((0.0, 0.0), (1.0, 1.0))
-        b = ((2.0, -1.0), (3.0, 0.5))
-        assert geo.combine(a, b) == ((0.0, -1.0), (3.0, 1.0))
-
-    def test_combine_contained(self):
-        outer = ((0.0, 0.0), (10.0, 10.0))
-        inner = ((1.0, 1.0), (2.0, 2.0))
-        assert geo.combine(outer, inner) == outer
-
-    def test_extend(self):
-        rect = ((0.0, 0.0), (1.0, 1.0))
-        assert geo.extend(rect, (5.0, -2.0)) == ((0.0, -2.0), (5.0, 1.0))
-
-    def test_area(self):
-        assert geo.area(((0.0, 0.0), (2.0, 3.0))) == 6.0
-
-    def test_area_3d(self):
-        assert geo.area(((0.0, 0.0, 0.0), (2.0, 2.0, 2.0))) == 8.0
-
-    def test_enlargement(self):
-        rect = ((0.0, 0.0), (1.0, 1.0))
-        other = ((2.0, 0.0), (3.0, 1.0))
-        # Combined covers x 0..3, y 0..1 -> area 3; original 1 -> growth 2.
-        assert geo.enlargement(rect, other) == pytest.approx(2.0)
-
-    def test_enlargement_zero_when_contained(self):
-        rect = ((0.0, 0.0), (4.0, 4.0))
-        inner = ((1.0, 1.0), (2.0, 2.0))
-        assert geo.enlargement(rect, inner) == 0.0
+from repro.index.rtree import mindist_sq
 
 
 class TestMindist:
     def test_inside_is_zero(self):
         rect = ((0.0, 0.0), (2.0, 2.0))
-        assert geo.mindist_sq(rect, (1.0, 1.0)) == 0.0
+        assert mindist_sq(rect, (1.0, 1.0)) == 0.0
 
     def test_boundary_is_zero(self):
         rect = ((0.0, 0.0), (2.0, 2.0))
-        assert geo.mindist_sq(rect, (2.0, 1.0)) == 0.0
+        assert mindist_sq(rect, (2.0, 1.0)) == 0.0
 
     def test_axis_distance(self):
         rect = ((0.0, 0.0), (2.0, 2.0))
-        assert geo.mindist_sq(rect, (5.0, 1.0)) == 9.0
+        assert mindist_sq(rect, (5.0, 1.0)) == 9.0
 
     def test_corner_distance(self):
         rect = ((0.0, 0.0), (2.0, 2.0))
-        assert geo.mindist_sq(rect, (5.0, 6.0)) == 9.0 + 16.0
-
-    def test_contains_point(self):
-        rect = ((0.0, 0.0), (2.0, 2.0))
-        assert geo.contains_point(rect, (0.0, 2.0))
-        assert not geo.contains_point(rect, (-0.1, 1.0))
+        assert mindist_sq(rect, (5.0, 6.0)) == 9.0 + 16.0

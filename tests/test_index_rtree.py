@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import IndexError_
 from repro.index.linear import LinearScanIndex
@@ -251,3 +253,89 @@ class TestBulkLoadShape:
             assert sorted(packed.ball(center, 0.75)) == sorted(
                 grown.ball(center, 0.75)
             )
+
+
+# Coordinates on the 0.25 grid, radii too: squared distances are exact, so
+# the R-tree's and the oracle's eps tests cannot disagree at the boundary.
+_grid = st.integers(min_value=0, max_value=16).map(lambda k: k / 4)
+_position = st.tuples(_grid, _grid, _grid, _grid)
+_LAYOUTS = {
+    "scattered": lambda pos, dim: pos[:dim],
+    "identical": lambda pos, dim: (1.0,) * dim,
+    "collinear": lambda pos, dim: tuple(pos[0] * k for k in (1, -0.5, 2, 0.25)[:dim]),
+}
+_operation = st.one_of(
+    st.tuples(st.just("insert"), _position),
+    st.tuples(st.just("insert_many"), st.lists(_position, max_size=20)),
+    st.tuples(st.just("delete"), st.integers(min_value=0, max_value=999)),
+    st.tuples(st.just("delete_many"), st.lists(st.integers(0, 999), max_size=12)),
+    st.tuples(st.just("probe"), _position, _grid, st.booleans()),
+    st.tuples(st.just("mark"), st.integers(min_value=0, max_value=999)),
+    st.tuples(st.just("tick"), st.none()),
+)
+
+
+class TestSplitProperty:
+    """Random inserts, deletes and epoch probes against the linear oracle.
+
+    ``check_invariants`` (fill bounds, MBR cover, parent pointers, node
+    epochs never above their children's) runs after every operation, so a
+    split that leaves a half underfull, an MBR loose or an epoch too high
+    fails at the operation that caused it.
+    """
+
+    @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("fanout", [(4, 2), (8, 3), (16, 4)])
+    @settings(max_examples=12, deadline=None)
+    @given(operations=st.lists(_operation, max_size=120))
+    def test_matches_linear_oracle(self, fanout, dim, layout, operations):
+        place = _LAYOUTS[layout]
+        tree = RTree(max_entries=fanout[0], min_entries=fanout[1])
+        oracle = LinearScanIndex()
+        alive: list[int] = []
+        next_pid = 0
+        tick = tree.new_tick()
+        assert oracle.new_tick() == tick
+        for kind, *args in operations:
+            if kind == "insert":
+                coords = place(args[0], dim)
+                tree.insert(next_pid, coords)
+                oracle.insert(next_pid, coords)
+                alive.append(next_pid)
+                next_pid += 1
+            elif kind == "insert_many":
+                batch = [
+                    (next_pid + i, place(pos, dim)) for i, pos in enumerate(args[0])
+                ]
+                tree.insert_many(batch)
+                oracle.insert_many(batch)
+                alive.extend(pid for pid, _ in batch)
+                next_pid += len(batch)
+            elif kind == "delete" and alive:
+                pid = alive.pop(args[0] % len(alive))
+                tree.delete(pid)
+                oracle.delete(pid)
+            elif kind == "delete_many" and alive:
+                doomed = list(dict.fromkeys(alive[i % len(alive)] for i in args[0]))
+                tree.delete_many(doomed)
+                oracle.delete_many(doomed)
+                alive = [pid for pid in alive if pid not in doomed]
+            elif kind == "probe":
+                center, radius, defer = place(args[0], dim), args[1], args[2]
+                should_mark = (lambda pid: pid % 3 != 0) if defer else None
+                assert sorted(tree.ball(center, radius)) == sorted(
+                    oracle.ball(center, radius)
+                )
+                assert sorted(
+                    tree.ball_unvisited(center, radius, tick, should_mark)
+                ) == sorted(oracle.ball_unvisited(center, radius, tick, should_mark))
+            elif kind == "mark" and alive:
+                pid = alive[args[0] % len(alive)]
+                tree.mark(pid, tick)
+                oracle.mark(pid, tick)
+            elif kind == "tick":
+                tick = tree.new_tick()
+                assert oracle.new_tick() == tick
+            tree.check_invariants()
+            assert sorted(tree.items()) == sorted(oracle.items())
