@@ -8,7 +8,7 @@ used for cluster-id algebra, configuration dataclasses, and the common
 
 from repro.common.config import ClusteringParams, WindowSpec
 from repro.common.disjointset import DisjointSet
-from repro.common.distance import squared_distance, within_eps
+from repro.common.distance import within_eps, within_eps_many
 from repro.common.errors import ConfigurationError, ReproError, StreamOrderError
 from repro.common.snapshot import Category, Clustering
 
@@ -21,6 +21,6 @@ __all__ = [
     "ReproError",
     "StreamOrderError",
     "WindowSpec",
-    "squared_distance",
     "within_eps",
+    "within_eps_many",
 ]

@@ -13,7 +13,8 @@ class ClusteringParams:
 
     Attributes:
         eps: distance threshold (the paper's epsilon). A point q is an
-            epsilon-neighbour of p when ``dist(p, q) <= eps``.
+            epsilon-neighbour of p when ``math.dist(p, q) <= eps``
+            (:func:`repro.common.distance.within_eps`).
         tau: density threshold (the paper's tau, a.k.a. MinPts). A point is a
             core when its epsilon-neighbourhood, *including itself*, holds at
             least ``tau`` points — matching COLLECT, which initialises
@@ -40,11 +41,6 @@ class ClusteringParams:
             raise ConfigurationError(
                 f"index must be a backend name or None, got {self.index!r}"
             )
-
-    @property
-    def eps_sq(self) -> float:
-        """Squared distance threshold, precomputed for hot paths."""
-        return self.eps * self.eps
 
 
 @dataclass(frozen=True)

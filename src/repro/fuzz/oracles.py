@@ -6,12 +6,16 @@ correctness contract:
 
 - ``equivalence`` — DISC's incremental result per stride is equivalent to a
   fresh DBSCAN re-cluster of the window (the paper's Theorem 1, via
-  :func:`repro.metrics.compare.assert_equivalent`);
+  :func:`repro.metrics.compare.assert_equivalent`). The reference always
+  runs on the ``linear`` backend, so a backend that decides "within eps"
+  differently from the others fails here;
 - ``permutation`` — reordering points that share a timestamp (within one
   stride block, for count-based windows) never changes the clustering;
 - ``classify`` — ad-hoc classification answers are invariant under the
   row order of the view's core columns (the tie-break contract of
-  :meth:`repro.serve.session.SessionView.classify`);
+  :meth:`repro.serve.session.SessionView.classify`), and classifying the
+  coordinates of any point in the window answers noise exactly when that
+  point is noise;
 - ``checkpoint`` — kill the supervised run at sampled fault points
   (:func:`repro.runtime.chaos.enumerate_fault_points`), resume from the
   store, and every observable stride — and the final state — is
@@ -60,6 +64,8 @@ MAX_FAULT_POINTS = 6
 PERMUTATION_ROUNDS = 2
 #: Distinct stamps probed by the serve oracle's time-travel checks.
 MAX_TIME_PROBES = 12
+#: The backend every other backend's DISC is checked against.
+REFERENCE_BACKEND = "linear"
 
 
 @dataclass
@@ -96,6 +102,14 @@ def _canon(clustering: Clustering) -> tuple:
     )
 
 
+def _slide(coords: dict, delta_in, delta_out) -> None:
+    """Apply one stride's deltas to a ``pid -> coords`` window map."""
+    for point in delta_out:
+        coords.pop(point.pid, None)
+    for point in delta_in:
+        coords[point.pid] = tuple(point.coords)
+
+
 def _diff(a: dict, b: dict, limit: int = 4) -> str:
     keys = sorted(set(a) | set(b))
     deltas = [
@@ -111,19 +125,21 @@ def _diff(a: dict, b: dict, limit: int = 4) -> str:
 
 
 def oracle_equivalence(scenario: Scenario, backend: str) -> list[OracleFailure]:
-    """DISC per stride ≡ fresh DBSCAN re-cluster of the same window."""
+    """DISC per stride ≡ fresh DBSCAN re-cluster of the same window.
+
+    The DBSCAN reference runs on :data:`REFERENCE_BACKEND` whatever
+    ``backend`` DISC runs on, so backends are checked against each other
+    as well as against Theorem 1.
+    """
     failures: list[OracleFailure] = []
     disc = DISC(scenario.eps, scenario.tau, index=backend)
-    reference = SlidingDBSCAN(scenario.eps, scenario.tau, index=backend)
+    reference = SlidingDBSCAN(scenario.eps, scenario.tau, index=REFERENCE_BACKEND)
     coords: dict[int, tuple[float, ...]] = {}
     slides = materialize_slides(scenario.points, _spec(scenario), scenario.time_based)
     for stride, (delta_in, delta_out) in enumerate(slides):
         disc.advance(delta_in, delta_out)
         reference.advance(delta_in, delta_out)
-        for point in delta_out:
-            coords.pop(point.pid, None)
-        for point in delta_in:
-            coords[point.pid] = tuple(point.coords)
+        _slide(coords, delta_in, delta_out)
         try:
             assert_equivalent(
                 disc.snapshot(), reference.snapshot(), coords, disc.params
@@ -186,10 +202,7 @@ def oracle_permutation(scenario: Scenario, backend: str) -> list[OracleFailure]:
         scenario.points, spec, scenario.time_based
     ):
         disc.advance(delta_in, delta_out)
-        for point in delta_out:
-            coords.pop(point.pid, None)
-        for point in delta_in:
-            coords[point.pid] = tuple(point.coords)
+        _slide(coords, delta_in, delta_out)
         baseline.append(disc.snapshot())
         coords_per_stride.append(dict(coords))
 
@@ -243,41 +256,64 @@ def oracle_permutation(scenario: Scenario, backend: str) -> list[OracleFailure]:
 
 
 def oracle_classify(scenario: Scenario, backend: str) -> list[OracleFailure]:
-    """Ad-hoc classification is invariant to the row order of the core columns."""
-    if not scenario.probes:
-        return []
+    """Ad-hoc classification is invariant to the row order of the core
+    columns, and calls a window point's coordinates noise exactly when the
+    point is noise."""
     disc = DISC(scenario.eps, scenario.tau, index=backend)
     rng = random.Random(scenario.seed ^ 0xC1A55)
-    failures: list[OracleFailure] = []
+    coords: dict[int, tuple[float, ...]] = {}
     for stride, (delta_in, delta_out) in enumerate(
         materialize_slides(scenario.points, _spec(scenario), scenario.time_based)
     ):
         disc.advance(delta_in, delta_out)
+        _slide(coords, delta_in, delta_out)
         base = SessionView.from_state(stride, disc.snapshot(), disc.state)
-        n_cores = len(base.core_pids)
-        if n_cores < 2:
-            continue
-        columns = (base.core_pids, base.core_coords, base.core_labels)
-        shuffled = list(range(n_cores))
-        rng.shuffle(shuffled)
-        views = [base] + [
-            SessionView(stride, base.clustering, base.eps, *(c[order] for c in columns))
-            for order in (slice(None, None, -1), shuffled)
-        ]
-        for probe in scenario.probes:
-            answers = [view.classify(probe) for view in views]
-            if any(answer != answers[0] for answer in answers[1:]):
-                failures.append(
-                    OracleFailure(
-                        "classify",
-                        backend,
-                        stride,
-                        f"probe {probe}: core-order-dependent answer "
-                        f"({_diff(answers[0], next(a for a in answers[1:] if a != answers[0]))})",
-                    )
+        detail = _core_order_dependence(scenario, base, rng) or _noise_mismatch(
+            base, coords
+        )
+        if detail:
+            return [OracleFailure("classify", backend, stride, detail)]
+    return []
+
+
+def _core_order_dependence(scenario: Scenario, base: SessionView, rng) -> str:
+    """The first probe whose answer changes with the core row order."""
+    n_cores = len(base.core_pids)
+    if n_cores < 2:
+        return ""
+    columns = (base.core_pids, base.core_coords, base.core_labels)
+    shuffled = list(range(n_cores))
+    rng.shuffle(shuffled)
+    views = [base] + [
+        SessionView(
+            base.stride, base.clustering, base.eps, *(c[order] for c in columns)
+        )
+        for order in (slice(None, None, -1), shuffled)
+    ]
+    for probe in scenario.probes:
+        answers = [view.classify(probe) for view in views]
+        for answer in answers[1:]:
+            if answer != answers[0]:
+                return (
+                    f"probe {probe}: core-order-dependent answer "
+                    f"({_diff(answers[0], answer)})"
                 )
-                return failures
-    return failures
+    return ""
+
+
+def _noise_mismatch(view: SessionView, coords: dict[int, tuple[float, ...]]) -> str:
+    """The first window point that classify and the clustering disagree on
+    being noise."""
+    noise = Clustering.NOISE_ID
+    for pid in sorted(coords):
+        is_noise = view.clustering.label_of(pid) == noise
+        if (view.classify(coords[pid])["label"] == noise) != is_noise:
+            return (
+                f"point {pid} at {coords[pid]} is "
+                f"{'noise' if is_noise else 'clustered'}, but classify by "
+                f"its coordinates says {'clustered' if is_noise else 'noise'}"
+            )
+    return ""
 
 
 # -------------------------------------------------------------- checkpoint

@@ -10,6 +10,9 @@ PRs actually found their bugs:
   invariance, duplicate journal stamps for time travel);
 - **exact-eps geometry** — pairs and chains spaced at exactly ``eps``,
   probing the ``<=`` boundary every backend must agree on;
+- **eps edges** — off-grid pairs at ``eps`` on which a squared-sum test
+  and ``math.dist`` disagree, so a backend, the served classify or a
+  reference that decides "within eps" its own way splits from the rest;
 - **burst / eviction cliffs** — a window-sized burst at one stamp that
   later expires in a single stride;
 - **empty and singleton strides** — time gaps longer than the stride (one
@@ -21,8 +24,9 @@ PRs actually found their bugs:
   driving the evolution-event machinery.
 
 Everything is drawn from a single ``random.Random(seed)``; coordinates
-snap to a 0.25 grid so distances of symmetric constructions are *exact*
-in binary floating point (an equidistant probe really is equidistant).
+other than the eps edges' snap to a 0.25 grid so distances of symmetric
+constructions are *exact* in binary floating point (an equidistant probe
+really is equidistant).
 
 The case-file format is JSONL: a header object (parameters, the failure
 that produced the case) followed by one ``{"pid", "coords", "time"}``
@@ -33,6 +37,7 @@ reads, so a case stream is easy to eyeball with ``jq``.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -51,7 +56,15 @@ FEATURES = (
     "gap",
     "singleton",
     "pid_reuse",
+    "eps_edge",
 )
+
+#: Candidate pairs drawn per eps edge before settling for one the two
+#: tests agree on (in ``EDGE_BOX``, 1 in 80 to 1 in 230 disagrees).
+EDGE_TRIES = 2000
+#: Where eps edges start, as ``(x range, y range)``: right of every other
+#: feature, whose points all stay on the 0.25 grid.
+EDGE_BOX = ((40.0, 56.0), (4.0, 36.0))
 
 
 class CaseError(ReproError):
@@ -90,6 +103,24 @@ class Scenario:
 def _snap(value: float) -> float:
     """Snap to the 0.25 grid — exact in binary floating point."""
     return round(value * 4) / 4.0
+
+
+def _edge_pair(rng: random.Random, eps: float):
+    """An off-grid pair ``(p, q)`` at ``eps`` and the unit step from q to p.
+
+    Drawn until ``math.dist(p, q) <= eps`` and the squared sum
+    ``dx * dx + dy * dy <= eps * eps`` give different answers, so a
+    backend deciding either way lands on the wrong side of the others.
+    """
+    for _ in range(EDGE_TRIES):
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        step = (math.cos(angle), math.sin(angle))
+        p = (rng.uniform(*EDGE_BOX[0]), rng.uniform(*EDGE_BOX[1]))
+        q = (p[0] - eps * step[0], p[1] - eps * step[1])
+        dx, dy = p[0] - q[0], p[1] - q[1]
+        if (dx * dx + dy * dy <= eps * eps) != (math.dist(p, q) <= eps):
+            break
+    return p, q, step
 
 
 class _StreamBuilder:
@@ -206,6 +237,18 @@ def generate_scenario(seed: int, *, name: str | None = None) -> Scenario:
             builder.tick(builder.stride + 1)
             builder.emit((_snap(rng.uniform(30, 38)), _snap(rng.uniform(30, 38))))
             builder.tick(builder.stride + 1)
+        elif feature == "eps_edge":
+            # p gets tau - 1 neighbours on the far side from q, so it is a
+            # core whatever q does; q is then p's border or noise,
+            # depending only on how "within eps" is decided.
+            p, q, step = _edge_pair(rng, eps)
+            builder.emit(p)
+            for k in range(1, tau):
+                builder.emit(
+                    (p[0] + k * eps / 8 * step[0], p[1] + k * eps / 8 * step[1]),
+                    tie=rng.random() < 0.3,
+                )
+            builder.emit(q, tie=rng.random() < 0.3)
         elif feature == "pid_reuse":
             pid = builder.expired_pid()
             centre = rng.choice(centres)

@@ -1,11 +1,12 @@
 """Spatial indexes used by the clustering algorithms.
 
 All backends implement the :class:`~repro.index.base.NeighborIndex` contract
-(point primitives, counting, k-nearest, and the batched query layer) and are
-selectable by name through :mod:`repro.index.registry`. The R-tree
-(:mod:`repro.index.rtree`) is the index the paper builds DISC on, including
-the native epoch-based probing of Section IV-B; backends without native
-epochs gain the same semantics through
+(point primitives, counting, and the batched query layer) and are selectable
+by name through :mod:`repro.index.registry`. Every backend decides "within
+eps" as :func:`repro.common.distance.within_eps` does, so they return the
+same balls. The R-tree (:mod:`repro.index.rtree`) is the index the paper
+builds DISC on, including the native epoch-based probing of Section IV-B;
+backends without native epochs gain the same semantics through
 :class:`~repro.index.epochs.EpochAdapter`. The linear-scan index is a
 brute-force oracle with the same interface, used by tests. The grid indexes
 serve epsilon-tuned workloads (the plain grid also backs the

@@ -4,9 +4,10 @@ Historically the indexes in this package shared only a duck-typed interface;
 :class:`NeighborIndex` makes the contract explicit. A backend provides the
 point-at-a-time primitives (``insert``, ``delete``, ``ball``, ``coords_of``,
 ``items``) and inherits correct generic implementations of everything else:
-counting (:meth:`count_ball`), k-nearest (:meth:`nearest`), and the batched
-query layer (:meth:`insert_many`, :meth:`delete_many`, :meth:`ball_many`,
-:meth:`count_ball_many`).
+counting (:meth:`count_ball`) and the batched query layer
+(:meth:`insert_many`, :meth:`delete_many`, :meth:`ball_many`,
+:meth:`ball_many_pids`, :meth:`count_ball_many`). A ball holds the points p
+with ``within_eps(p, center, radius)`` (:mod:`repro.common.distance`).
 
 The batched layer is the hot-path contract: COLLECT and anchor repair issue
 one batched call per stride instead of one Python-level call per point, so a
@@ -24,7 +25,6 @@ generically.
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from collections.abc import Iterable, Sequence
 from typing import ClassVar
@@ -82,30 +82,8 @@ class NeighborIndex(ABC):
     # ----------------------------------------------------- generic fallbacks
 
     def count_ball(self, center: Sequence[float], radius: float) -> int:
-        """Number of points within ``radius`` of ``center``.
-
-        Backends that can count without materialising matches (the numpy
-        grid) override this; the fallback is ``len(ball(...))``.
-        """
+        """Number of points within ``radius`` of ``center``."""
         return len(self.ball(center, radius))
-
-    def nearest(
-        self, center: Sequence[float], k: int = 1
-    ) -> list[tuple[int, Coords]]:
-        """The k nearest points to ``center``, nearest first.
-
-        Generic full-scan fallback; tree backends override with best-first
-        search. Returns fewer than k pairs when the index holds fewer points.
-        """
-        if k < 1:
-            raise IndexError_(f"k must be >= 1, got {k}")
-        self.stats.range_searches += 1
-        center = tuple(center)
-        pairs = self.items()
-        self.stats.entries_scanned += len(pairs)
-        dist = math.dist
-        pairs.sort(key=lambda item: dist(item[1], center))
-        return pairs[:k]
 
     def check_invariants(self) -> None:
         """Raise when a structural invariant is violated; no-op by default."""
@@ -177,10 +155,11 @@ class NeighborIndex(ABC):
     ) -> list[int]:
         """One in-ball count per center, in input order.
 
-        Results must be identical to per-center :meth:`count_ball` calls.
+        Counts through :meth:`ball_many_pids`, so a backend with a batched
+        ids-only path (the numpy grid) counts with it. Results are identical
+        to per-center :meth:`count_ball` calls.
         """
-        count_ball = self.count_ball
-        return [count_ball(center, radius) for center in centers]
+        return [len(pids) for pids in self.ball_many_pids(centers, radius)]
 
     def ball_pids(self, center: Sequence[float], radius: float) -> np.ndarray:
         """Pids within ``radius`` of ``center``, in :meth:`ball` order.

@@ -20,7 +20,7 @@ wrapped backend still enumerates the full ball and the filter discards
 already-visited points afterwards. The semantics are identical; only the
 constant factor differs. Every other call — including the batched layer, so
 a wrapped :class:`~repro.index.vectorgrid.VectorGridIndex` keeps its
-vectorized ``count_ball_many`` — is forwarded untouched.
+vectorized ``ball_many_pids`` — is forwarded untouched.
 """
 
 from __future__ import annotations
@@ -107,11 +107,6 @@ class EpochAdapter(NeighborIndex):
 
     def ball_pids(self, center: Sequence[float], radius: float):
         return self.inner.ball_pids(center, radius)
-
-    def nearest(
-        self, center: Sequence[float], k: int = 1
-    ) -> list[tuple[int, Coords]]:
-        return self.inner.nearest(center, k)
 
     def items(self) -> list[tuple[int, Coords]]:
         return self.inner.items()

@@ -12,6 +12,7 @@ import itertools
 import math
 from collections.abc import Sequence
 
+from repro.common.distance import eps_sq_bound, within_eps
 from repro.common.errors import IndexError_
 from repro.index.base import NeighborIndex
 from repro.index.stats import IndexStats
@@ -57,9 +58,11 @@ class GridIndex(NeighborIndex):
         """Offsets of all cells that can contain a point within eps.
 
         A cell at offset ``o`` (in cell units) is reachable when the minimum
-        distance between the two cells is at most eps.
+        distance between the two cells is at most eps, compared against
+        :func:`eps_sq_bound` so that rounding never drops a reachable cell.
         """
         reach = math.ceil(math.sqrt(self.dim)) + 1
+        bound = eps_sq_bound(self.eps)
         offsets = []
         for offset in itertools.product(range(-reach, reach + 1), repeat=self.dim):
             min_dist_sq = 0.0
@@ -67,7 +70,7 @@ class GridIndex(NeighborIndex):
                 gap = (abs(o) - 1) * self.side
                 if gap > 0:
                     min_dist_sq += gap * gap
-            if min_dist_sq <= self.eps * self.eps:
+            if min_dist_sq <= bound:
                 offsets.append(offset)
         return offsets
 
@@ -142,13 +145,12 @@ class GridIndex(NeighborIndex):
             return []
         center = tuple(center)
         results = []
-        dist = math.dist
         for key in self.neighbour_cells(self.cell_of(center)):
             cell = self._cells[key]
             self.stats.nodes_accessed += 1  # one occupied cell visited
             self.stats.entries_scanned += len(cell)
             for pid, coords in cell.items():
-                if dist(coords, center) <= radius:
+                if within_eps(coords, center, radius):
                     results.append((pid, coords))
         return results
 

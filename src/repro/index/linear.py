@@ -4,10 +4,9 @@ Used as the test oracle: every R-tree behaviour (plain and epoch-filtered
 searches included) must agree with this index on identical workloads. It is
 also a legitimate fallback for tiny windows where tree overhead dominates.
 
-Distance evaluation goes through the shared
-:func:`~repro.common.distance.dists_to_many` kernel over a lazily rebuilt
-candidate matrix, so one vectorized pass replaces the per-point loop while
-results keep the insertion order of the point table.
+Distance tests go through :func:`~repro.common.distance.within_eps_many`
+over a lazily rebuilt candidate matrix, so one vectorized pass replaces the
+per-point loop while results keep the insertion order of the point table.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.common.distance import dists_to_many
+from repro.common.distance import within_eps_many
 from repro.common.errors import IndexError_
 from repro.index.base import NeighborIndex
 from repro.index.stats import IndexStats
@@ -80,31 +79,12 @@ class LinearScanIndex(NeighborIndex):
         if not self._points:
             return []
         self._refresh()
-        mask = dists_to_many(tuple(center), self._matrix) <= radius * radius
+        mask = within_eps_many(self._matrix, center, radius)
         points = self._points
         return [
             (pid, points[pid])
             for pid in (self._pids[i] for i in np.nonzero(mask)[0])
         ]
-
-    def nearest(
-        self, center: Sequence[float], k: int = 1
-    ) -> list[tuple[int, Coords]]:
-        """The k nearest points to ``center``, nearest first."""
-        if k < 1:
-            raise IndexError_(f"k must be >= 1, got {k}")
-        self.stats.range_searches += 1
-        self.stats.nodes_accessed += 1
-        self.stats.entries_scanned += len(self._points)
-        if not self._points:
-            return []
-        self._refresh()
-        d_sq = dists_to_many(tuple(center), self._matrix)
-        # Stable sort keeps insertion order among equidistant points, the
-        # same tie-break the sorted() over the point dict used to give.
-        order = np.argsort(d_sq, kind="stable")[:k]
-        points = self._points
-        return [(pid, points[pid]) for pid in (self._pids[i] for i in order)]
 
     def new_tick(self) -> int:
         self._tick += 1
@@ -129,8 +109,7 @@ class LinearScanIndex(NeighborIndex):
         if not self._points:
             return []
         self._refresh()
-        d_sq = dists_to_many(tuple(center), self._matrix)
-        r_sq = radius * radius
+        within = within_eps_many(self._matrix, center, radius)
         results = []
         epochs = self._epochs
         points = self._points
@@ -139,7 +118,7 @@ class LinearScanIndex(NeighborIndex):
             if epochs[pid] >= tick:
                 pruned += 1  # skipped by the epoch filter before the distance test
                 continue
-            if d_sq[i] <= r_sq:
+            if within[i]:
                 if should_mark is None or should_mark(pid):
                     epochs[pid] = tick
                 results.append((pid, points[pid]))

@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from heapq import heappop as _heappop, heappush as _heappush
 from operator import le
 
+from repro.common.distance import eps_sq_bound
 from repro.common.errors import IndexError_
 from repro.index.base import NeighborIndex
 from repro.index.stats import IndexStats
@@ -42,25 +42,6 @@ Rect = tuple[Coords, Coords]
 # faster than 8 (docs/performance.md), so 8 stays.
 DEFAULT_MAX_ENTRIES = 8
 DEFAULT_MIN_ENTRIES = 3
-
-
-def mindist_sq(rect: Rect, point: Sequence[float]) -> float:
-    """Squared distance from ``point`` to the nearest face of ``rect``.
-
-    Zero when the point is inside. This is the standard R-tree pruning bound:
-    a ball of radius r around ``point`` intersects ``rect`` iff
-    ``mindist_sq <= r*r``.
-    """
-    total = 0.0
-    for lo, hi, x in zip(rect[0], rect[1], point):
-        if x < lo:
-            diff = lo - x
-        elif x > hi:
-            diff = x - hi
-        else:
-            continue
-        total += diff * diff
-    return total
 
 
 class _Entry:
@@ -86,10 +67,6 @@ class _Node:
         self.lows: Coords = ()
         self.highs: Coords = ()
         self.epoch = 0
-
-    @property
-    def rect(self) -> Rect:
-        return self.lows, self.highs
 
     def child_rect(self, child) -> Rect:
         if self.leaf:
@@ -438,11 +415,15 @@ class RTree(NeighborIndex):
     def ball(self, center: Sequence[float], radius: float) -> list[tuple[int, Coords]]:
         """All indexed points within ``radius`` of ``center`` (inclusive).
 
-        Counts as one range search in :attr:`stats`.
+        An entry is tested with ``math.dist(coords, center) <= radius``,
+        :func:`~repro.common.distance.within_eps` inlined. A subtree is
+        skipped only when its MBR lies beyond :func:`eps_sq_bound`, so no
+        entry within ``radius`` is missed whatever the tree's shape. Counts
+        as one range search in :attr:`stats`.
         """
         self.stats.range_searches += 1
         center = tuple(center)
-        r_sq = radius * radius
+        r_sq = eps_sq_bound(radius)
         results: list[tuple[int, Coords]] = []
         stack = [self._root]
         stats = self.stats
@@ -457,8 +438,9 @@ class RTree(NeighborIndex):
                         results.append((entry.pid, entry.coords))
             else:
                 for child in node.children:
-                    # mindist_sq inlined: this test runs for every child
-                    # of every visited node and dominates search time.
+                    # Squared distance to the child's MBR, inlined: this
+                    # test runs for every child of every visited node and
+                    # dominates search time.
                     min_sq = 0.0
                     for lo, hi, x in zip(child.lows, child.highs, center):
                         if x < lo:
@@ -469,51 +451,6 @@ class RTree(NeighborIndex):
                             min_sq += diff * diff
                     if min_sq <= r_sq:
                         stack.append(child)
-        return results
-
-    def nearest(
-        self, center: Sequence[float], k: int = 1
-    ) -> list[tuple[int, Coords]]:
-        """The k nearest points to ``center``, nearest first.
-
-        Classic best-first search over node MBRs using their mindist bound;
-        returns fewer than k pairs when the index holds fewer points.
-        """
-        if k < 1:
-            raise IndexError_(f"k must be >= 1, got {k}")
-        self.stats.range_searches += 1
-        center = tuple(center)
-        heap: list[tuple[float, int, bool, object]] = []
-        counter = 0
-        heappush, heappop = _heappush, _heappop
-        heappush(heap, (0.0, counter, False, self._root))
-        results: list[tuple[int, Coords]] = []
-        while heap and len(results) < k:
-            dist_bound, _, is_entry, item = heappop(heap)
-            if is_entry:
-                results.append((item.pid, item.coords))
-                continue
-            self.stats.nodes_accessed += 1
-            if item.leaf:
-                self.stats.entries_scanned += len(item.children)
-                for entry in item.children:
-                    counter += 1
-                    heappush(
-                        heap,
-                        (math.dist(entry.coords, center), counter, True, entry),
-                    )
-            else:
-                for child in item.children:
-                    counter += 1
-                    heappush(
-                        heap,
-                        (
-                            math.sqrt(mindist_sq(child.rect, center)),
-                            counter,
-                            False,
-                            child,
-                        ),
-                    )
         return results
 
     def new_tick(self) -> int:
@@ -542,7 +479,10 @@ class RTree(NeighborIndex):
         self.stats.range_searches += 1
         center = tuple(center)
         results: list[tuple[int, Coords]] = []
-        self._probe(self._root, center, radius, tick, should_mark, results)
+        self._probe(
+            self._root, center, radius, eps_sq_bound(radius), tick, should_mark,
+            results,
+        )
         return results
 
     def mark(self, pid: int, tick: int) -> None:
@@ -567,6 +507,7 @@ class RTree(NeighborIndex):
         node: _Node,
         center: Coords,
         radius: float,
+        r_sq: float,
         tick: int,
         should_mark,
         out: list[tuple[int, Coords]],
@@ -590,14 +531,13 @@ class RTree(NeighborIndex):
             node.epoch = min_epoch
             return
         min_epoch = tick
-        r_sq = radius * radius
         for child in node.children:
             if child.epoch >= tick:
                 # Fully visited subtree: pruned without descending — the
                 # payoff Algorithm 4 exists for.
                 self.stats.epoch_prunes += 1
             else:
-                # mindist_sq inlined (hot path, see ball()).
+                # Squared distance to the MBR, inlined (see ball()).
                 min_sq = 0.0
                 for lo, hi, x in zip(child.lows, child.highs, center):
                     if x < lo:
@@ -607,7 +547,9 @@ class RTree(NeighborIndex):
                         diff = x - hi
                         min_sq += diff * diff
                 if min_sq <= r_sq:
-                    self._probe(child, center, radius, tick, should_mark, out)
+                    self._probe(
+                        child, center, radius, r_sq, tick, should_mark, out
+                    )
             if child.epoch < min_epoch:
                 min_epoch = child.epoch
         node.epoch = min_epoch

@@ -1,18 +1,19 @@
 """A numpy-vectorized cell-grid index for dense, large windows.
 
-Cells here have side ``eps`` (unlike :class:`~repro.index.grid.GridIndex`'s
-``eps / sqrt(d)``), so a ball query touches only the 3^d surrounding cells
-and each cell contributes one vectorized distance evaluation over a sizeable
-batch.
+Cells here have side ``eps``, a hair wider (``_SIDE_SLACK``), unlike
+:class:`~repro.index.grid.GridIndex`'s ``eps / sqrt(d)``, so a ball query
+touches only the 3^d surrounding cells and each cell contributes one
+vectorized distance evaluation over a sizeable batch.
 
 An honest performance note, measured on this substrate: for :meth:`ball`
 (which must materialise a Python list of ``(pid, coords)`` matches) the
 result-building loop dominates and the vectorized index only breaks even
-with the plain grid. Where vectorization genuinely pays is *counting*:
-:meth:`count_ball` answers "how many points within eps" several times faster
-than materialising the ball, because the reduction stays inside numpy.
-The invariant checker's neighbour recount (``repro.runtime.invariants``)
-is the user of that path.
+with the plain grid. Vectorization pays on the ids-only queries the core
+issues: :meth:`ball_many_pids` answers a whole batch of centres in one numpy
+expression, and :meth:`ball_pids` answers one MS-BFS probe in a handful of
+numpy calls. The invariant checker counts through the batched path too.
+Every distance test goes through
+:func:`~repro.common.distance.within_eps_many`.
 
 The interface matches the other indexes (insert/delete/ball/coords_of/...),
 so any clusterer accepts it via ``index=``.
@@ -26,7 +27,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.common.distance import dists_to_many
+from repro.common.distance import within_eps_many
 from repro.common.errors import IndexError_
 from repro.index.base import NeighborIndex
 from repro.index.stats import IndexStats
@@ -37,6 +38,14 @@ CellKey = tuple[int, ...]
 # Cap on the pairwise-distance block a batched query materialises at once
 # (centers x candidates); groups larger than this are chunked.
 _BATCH_PAIR_BUDGET = 1 << 20
+
+# Cell side over eps. With side exactly eps, rounding in floor(x / side)
+# could put two points at exactly eps two cells apart, outside each other's
+# stencil. Points within eps differ by at most eps * (1 + 2**-51) on any
+# axis and floor(x / side) rounds by at most |x / side| * 2**-53 cells, so
+# cells 2**-20 wider keep every neighbour inside the 3^d stencil for |x| up
+# to about 2**30 * eps.
+_SIDE_SLACK = 1.0 + 2.0**-20
 
 # Bits per dimension when packing a cell key into one int64 (dims 1-3).
 _CODE_BITS = 21
@@ -70,7 +79,7 @@ class VectorGridIndex(NeighborIndex):
     """Vectorized uniform grid tuned for one epsilon.
 
     Args:
-        eps: the distance threshold (and cell side).
+        eps: the distance threshold (and, widened by a hair, cell side).
         dim: point dimensionality; when omitted the 3^d stencil is built
             lazily from the first inserted point (registry-built grids do
             not know the dimensionality up front).
@@ -83,7 +92,7 @@ class VectorGridIndex(NeighborIndex):
             raise IndexError_(f"eps must be positive, got {eps}")
         self.eps = eps
         self.dim = dim
-        self.side = eps
+        self.side = eps * _SIDE_SLACK
         self._cells: dict[CellKey, _Cell] = {}
         self._where: dict[int, CellKey] = {}
         # Insertion-ordered pid -> coords mirror; the flat rebuild reads it
@@ -188,7 +197,6 @@ class VectorGridIndex(NeighborIndex):
         if self._stencil is None:  # dormant: nothing has ever been inserted
             return []
         center_arr = np.asarray(center, dtype=np.float64)
-        r_sq = radius * radius
         key = self.cell_of(center)
         results: list[tuple[int, Coords]] = []
         cells = self._cells
@@ -200,135 +208,12 @@ class VectorGridIndex(NeighborIndex):
             cell.refresh()
             self.stats.nodes_accessed += 1  # one occupied cell visited
             self.stats.entries_scanned += len(cell.pids)
-            mask = dists_to_many(center_arr, cell.matrix) <= r_sq
+            mask = within_eps_many(cell.matrix, center_arr, radius)
             points = cell.points
             for idx in np.nonzero(mask)[0]:
                 pid = cell.pids[idx]
                 results.append((pid, points[pid]))
         return results
-
-    def count_ball(self, center: Sequence[float], radius: float) -> int:
-        """Number of points within ``radius`` of ``center`` (radius <= eps).
-
-        Fully vectorized — no per-match Python work — and therefore much
-        faster than ``len(ball(...))`` on dense data.
-        """
-        if radius > self.eps + 1e-12:
-            raise IndexError_(
-                f"grid built for eps={self.eps} cannot serve radius={radius}"
-            )
-        self.stats.range_searches += 1
-        if self._stencil is None:
-            return 0
-        center_arr = np.asarray(center, dtype=np.float64)
-        r_sq = radius * radius
-        key = self.cell_of(center)
-        total = 0
-        cells = self._cells
-        for offset in self._stencil:
-            other = tuple(k + o for k, o in zip(key, offset))
-            cell = cells.get(other)
-            if cell is None:
-                continue
-            cell.refresh()
-            self.stats.nodes_accessed += 1
-            self.stats.entries_scanned += len(cell.pids)
-            total += int(
-                np.count_nonzero(dists_to_many(center_arr, cell.matrix) <= r_sq)
-            )
-        return total
-
-    # ----------------------------------------------------------- batched layer
-
-    def _batched_groups(self, centers):
-        """Group centers by cell; yield (center indices, pairs, matrix).
-
-        Centers sharing a cell query the identical 3^d neighbourhood, so its
-        candidate matrices are concatenated once and reused for the whole
-        group. ``pairs`` lists the candidates as (pid, coords) in exactly the
-        order :meth:`ball` would visit them (stencil order, then cell row
-        order), so masked row selection reproduces per-center results.
-        """
-        groups: dict[CellKey, list[int]] = {}
-        for i, center in enumerate(centers):
-            groups.setdefault(self.cell_of(center), []).append(i)
-        cells = self._cells
-        for key, idxs in groups.items():
-            pairs: list[tuple[int, Coords]] = []
-            mats = []
-            for offset in self._stencil:
-                cell = cells.get(tuple(k + o for k, o in zip(key, offset)))
-                if cell is None:
-                    continue
-                cell.refresh()
-                points = cell.points
-                pairs.extend((pid, points[pid]) for pid in cell.pids)
-                mats.append(cell.matrix)
-                # Counted once per center sharing the group, so the batched
-                # totals stay identical to per-center loops.
-                self.stats.nodes_accessed += len(idxs)
-                self.stats.entries_scanned += len(cell.pids) * len(idxs)
-            block = None
-            if mats:
-                block = mats[0] if len(mats) == 1 else np.concatenate(mats)
-            yield idxs, pairs, block
-
-    def count_ball_many(
-        self, centers: Sequence[Sequence[float]], radius: float
-    ) -> list[int]:
-        """Vectorized batch counting; results identical to looped calls.
-
-        All centers falling in one cell share a single pairwise distance
-        evaluation against the concatenated neighbourhood matrices, chunked
-        so no intermediate block exceeds the pair budget.
-        """
-        if radius > self.eps + 1e-12:
-            raise IndexError_(
-                f"grid built for eps={self.eps} cannot serve radius={radius}"
-            )
-        counts = [0] * len(centers)
-        self.stats.range_searches += len(centers)
-        if self._stencil is None or not centers:
-            return counts
-        arr = np.asarray(centers, dtype=np.float64)
-        r_sq = radius * radius
-        for idxs, _, block in self._batched_groups(centers):
-            if block is None:
-                continue
-            step = max(1, _BATCH_PAIR_BUDGET // max(1, len(block)))
-            for lo in range(0, len(idxs), step):
-                chunk = idxs[lo : lo + step]
-                hits = np.count_nonzero(
-                    dists_to_many(arr[chunk], block) <= r_sq, axis=1
-                )
-                for row, i in enumerate(chunk):
-                    counts[i] = int(hits[row])
-        return counts
-
-    def ball_many(
-        self, centers: Sequence[Sequence[float]], radius: float
-    ) -> list[list[tuple[int, Coords]]]:
-        """Vectorized batch ball search; per-center results match :meth:`ball`."""
-        if radius > self.eps + 1e-12:
-            raise IndexError_(
-                f"grid built for eps={self.eps} cannot serve radius={radius}"
-            )
-        out: list[list[tuple[int, Coords]]] = [[] for _ in centers]
-        self.stats.range_searches += len(centers)
-        if self._stencil is None or not centers:
-            return out
-        arr = np.asarray(centers, dtype=np.float64)
-        r_sq = radius * radius
-        for idxs, pairs, block in self._batched_groups(centers):
-            if block is None:
-                continue
-            step = max(1, _BATCH_PAIR_BUDGET // max(1, len(block)))
-            for lo in range(0, len(idxs), step):
-                chunk = idxs[lo : lo + step]
-                within = dists_to_many(arr[chunk], block) <= r_sq
-                for row, i in enumerate(chunk):
-                    out[i] = [pairs[j] for j in np.nonzero(within[row])[0]]
-        return out
 
     def _invalidate_hoods(self, key: CellKey) -> None:
         """Drop every cached neighbourhood whose stencil covers ``key``."""
@@ -478,8 +363,7 @@ class VectorGridIndex(NeighborIndex):
         owner = np.repeat(
             np.arange(m, dtype=np.int64), cnt.reshape(m, -1).sum(axis=1)
         )
-        diff = coords[cand_idx] - arr[owner]
-        within = np.einsum("ij,ij->i", diff, diff) <= radius * radius
+        within = within_eps_many(coords[cand_idx], arr[owner], radius)
         match_pids = pids[cand_idx[within]]
         bounds = np.searchsorted(owner[within], np.arange(m + 1))
         return [match_pids[bounds[i] : bounds[i + 1]] for i in range(m)]
@@ -534,9 +418,7 @@ class VectorGridIndex(NeighborIndex):
             - np.repeat(seg_ends - cnt, cnt)
             + np.repeat(np.where(valid, starts[idx_c], 0), cnt)
         )
-        diff = coords[cand_idx] - np.asarray(center, dtype=np.float64)
-        within = np.einsum("ij,ij->i", diff, diff) <= radius * radius
-        return pids[cand_idx[within]]
+        return pids[cand_idx[within_eps_many(coords[cand_idx], center, radius)]]
 
     def _ball_many_pids_grouped(
         self, centers: Sequence[Sequence[float]], radius: float
@@ -551,7 +433,6 @@ class VectorGridIndex(NeighborIndex):
         out: list[np.ndarray] = [empty] * len(centers)
         self.stats.range_searches += len(centers)
         arr = np.asarray(centers, dtype=np.float64)
-        r_sq = radius * radius
         groups: dict[CellKey, list[int]] = {}
         for i, center in enumerate(centers):
             groups.setdefault(self.cell_of(center), []).append(i)
@@ -565,7 +446,7 @@ class VectorGridIndex(NeighborIndex):
             step = max(1, _BATCH_PAIR_BUDGET // max(1, len(block)))
             for lo in range(0, len(idxs), step):
                 chunk = idxs[lo : lo + step]
-                within = dists_to_many(arr[chunk], block) <= r_sq
+                within = within_eps_many(arr[chunk, None], block, radius)
                 for row, i in enumerate(chunk):
                     out[i] = cand[within[row]]
         return out

@@ -36,6 +36,7 @@ import re
 from pathlib import Path
 
 from repro._version import __version__
+from repro.common.errors import ConfigurationError
 from repro.query.archive import SnapshotArchive
 from repro.query.journal import EvolutionJournal
 from repro.runtime.store import write_atomic
@@ -97,7 +98,8 @@ class ClusterService:
         self.restart_reset_s = restart_reset_s
         self.metric_labels = dict(metric_labels or {})
         self.sessions: dict[str, TenantSession] = {}
-        self.degraded: dict[str, str] = {}  # tenant -> "restarting"/"circuit-open"
+        # tenant -> "restarting" / "circuit-open" / "unreadable-metadata"
+        self.degraded: dict[str, str] = {}
         self.accepting = True
         self.port: int | None = None  # set by run_server once bound
         self._watchers: dict[str, asyncio.Task] = {}
@@ -177,6 +179,7 @@ class ClusterService:
         )
         session.start(resume=resume if store is not None else False)
         self.sessions[name] = session
+        self.degraded.pop(name, None)  # its metadata is readable again
         self._supervise(name)
         return session
 
@@ -186,7 +189,10 @@ class ClusterService:
         Returns the resumed tenant names, sorted. Tenants without a
         checkpoint yet (killed before the first one) restart fresh from
         their persisted config — either way the client replays the stream
-        from the beginning and the session swallows the covered prefix.
+        from the beginning and the session swallows the covered prefix. A
+        tenant whose ``session.json`` cannot be read is skipped: logged at
+        error level, listed in STATS ``degraded`` as
+        ``"unreadable-metadata"``, and its directory left untouched.
         """
         if self.data_dir is None:
             return []
@@ -195,7 +201,12 @@ class ClusterService:
             name = meta_path.parent.name
             if name in self.sessions:
                 continue
-            config = self._read_meta(meta_path)
+            try:
+                config = self._read_meta(meta_path)
+            except ServeError as exc:
+                logger.error("tenant %s not resumed: %s", name, exc)
+                self.degraded[name] = "unreadable-metadata"
+                continue
             self.open(name, config, resume="auto")
             resumed.append(name)
         return resumed
@@ -437,7 +448,7 @@ class ClusterService:
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
             return SessionConfig.from_dict(payload["config"])
-        except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, ConfigurationError) as exc:
             raise ServeError(
                 "internal", f"unreadable session metadata {path}: {exc}"
             ) from exc

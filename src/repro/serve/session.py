@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common.config import WindowSpec
-from repro.common.distance import dists_to_many
+from repro.common.distance import dists_to_many, eps_sq_bound, within_eps
 from repro.common.errors import ConfigurationError, ReproError
 from repro.common.points import StreamPoint
 from repro.common.snapshot import Category, Clustering
@@ -194,24 +194,35 @@ class SessionView:
         then the lowest core pid, so the answer never depends on the order
         the core rows are stored in); otherwise it is noise, as is a probe of
         another dimensionality. One O(cores) vectorised scan (see
-        ``docs/serving.md`` for capacity notes) using the vectorised index
-        backends' distance kernel, so ``eps`` is decided as they decide it.
-        The reply holds plain Python values: it is JSON-encoded as is.
+        ``docs/serving.md`` for capacity notes): one squared sum and one
+        comparison per core against
+        :func:`~repro.common.distance.eps_sq_bound`, which keeps every core
+        within ``eps``. The hits are ranked, and the first that passes
+        :func:`~repro.common.distance.within_eps` wins, so ``eps`` is
+        decided as every index backend decides it. ``distance`` is
+        ``math.dist``, so a labelled reply never exceeds ``eps``. The reply
+        holds plain Python values: it is JSON-encoded as is.
         """
         best = None
         if self.core_coords.shape[1] == len(coords):
             sq = dists_to_many(coords, self.core_coords)
-            (hits,) = np.nonzero(sq <= self.eps * self.eps)
-            if len(hits):  # lexsort's last key is the primary one
-                keys = (self.core_pids[hits], self.core_labels[hits], sq[hits])
-                best = hits[np.lexsort(keys)[0]]
+            (hits,) = np.nonzero(sq <= eps_sq_bound(self.eps))
+            # lexsort's last key is the primary one.
+            keys = (self.core_pids[hits], self.core_labels[hits], sq[hits])
+            for row in hits[np.lexsort(keys)].tolist():
+                if within_eps(coords, self.core_coords[row].tolist(), self.eps):
+                    best = row
+                    break
         return {
             "stride": self.stride,
             "label": (
                 Clustering.NOISE_ID if best is None else int(self.core_labels[best])
             ),
             "nearest_core": None if best is None else int(self.core_pids[best]),
-            "distance": None if best is None else math.sqrt(sq[best]),
+            "distance": (
+                None if best is None
+                else math.dist(coords, self.core_coords[best].tolist())
+            ),
         }
 
     def snapshot_payload(self) -> dict:

@@ -12,9 +12,6 @@ class TestClusteringParams:
         assert params.eps == 0.5
         assert params.tau == 4
 
-    def test_eps_sq(self):
-        assert ClusteringParams(eps=3.0, tau=1).eps_sq == 9.0
-
     @pytest.mark.parametrize("eps", [0.0, -1.0])
     def test_bad_eps(self, eps):
         with pytest.raises(ConfigurationError):

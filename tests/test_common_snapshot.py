@@ -4,17 +4,18 @@ import math
 
 import pytest
 
-from repro.common.distance import squared_distance, within_eps
+from repro.common.distance import dists_to_many, within_eps
 from repro.common.points import StreamPoint, make_points
 from repro.common.snapshot import Category, Clustering
 
 
 class TestDistance:
     def test_squared_distance(self):
-        assert squared_distance((0.0, 0.0), (3.0, 4.0)) == 25.0
+        assert dists_to_many((0.0, 0.0), (3.0, 4.0)) == 25.0
 
     def test_zero_distance(self):
-        assert squared_distance((1.5, 2.5), (1.5, 2.5)) == 0.0
+        assert dists_to_many((1.5, 2.5), (1.5, 2.5)) == 0.0
+        assert within_eps((1.5, 2.5), (1.5, 2.5), 0.0)
 
     def test_within_eps_inclusive(self):
         assert within_eps((0.0,), (1.0,), 1.0)
@@ -24,7 +25,9 @@ class TestDistance:
 
     def test_matches_math_dist(self):
         a, b = (0.3, -1.2, 5.0), (2.2, 0.1, -3.3)
-        assert squared_distance(a, b) == pytest.approx(math.dist(a, b) ** 2)
+        assert within_eps(a, b, math.dist(a, b))
+        assert not within_eps(a, b, math.nextafter(math.dist(a, b), 0.0))
+        assert dists_to_many(a, b) == pytest.approx(math.dist(a, b) ** 2)
 
 
 class TestStreamPoint:

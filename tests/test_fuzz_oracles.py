@@ -13,7 +13,6 @@ import math
 
 import pytest
 
-from repro.common.distance import squared_distance
 from repro.common.snapshot import Clustering
 from repro.fuzz.oracles import (
     ORACLES,
@@ -70,21 +69,20 @@ def order_dependent_classify(self, coords):
     exact-distance tie, so the answer depends on core iteration order."""
     best_pid = None
     best_label = Clustering.NOISE_ID
-    best_sq = None
-    eps_sq = self.eps * self.eps
+    best = None
     for pid, core_coords, label in zip(
         self.core_pids.tolist(), self.core_coords.tolist(), self.core_labels.tolist()
     ):
         if len(core_coords) != len(coords):
             continue
-        sq = squared_distance(coords, core_coords)
-        if sq <= eps_sq and (best_sq is None or sq < best_sq):
-            best_sq, best_pid, best_label = sq, pid, label
+        distance = math.dist(coords, core_coords)
+        if distance <= self.eps and (best is None or distance < best):
+            best, best_pid, best_label = distance, pid, label
     return {
         "stride": self.stride,
         "label": best_label,
         "nearest_core": best_pid,
-        "distance": None if best_sq is None else math.sqrt(best_sq),
+        "distance": best,
     }
 
 

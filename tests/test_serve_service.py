@@ -161,6 +161,63 @@ class TestDurability:
         offsets = run(second_life())
         assert offsets == {"a1": 240, "a2": 240}
 
+    def test_resume_all_skips_a_tenant_with_unreadable_metadata(
+        self, tmp_path, caplog
+    ):
+        points = clustered_stream(0, 240)
+
+        async def first_life():
+            service = ClusterService(data_dir=tmp_path)
+            for name in ("good", "torn"):
+                await service.open(name, CONFIG).offer(points)
+            await service.shutdown(flush_tail=False)
+
+        async def second_life():
+            service = ClusterService(data_dir=tmp_path)
+            resumed = service.resume_all()
+            stats = service.stats()
+            offset = service.get("good").replay_offset
+            await service.shutdown()
+            return resumed, stats, offset
+
+        run(first_life())
+        meta = tmp_path / "torn" / "session.json"
+        meta.write_bytes(meta.read_bytes()[:20])  # a torn write
+        before = sorted(
+            (p.relative_to(tmp_path), p.read_bytes())
+            for p in (tmp_path / "torn").rglob("*")
+            if p.is_file()
+        )
+        with caplog.at_level("ERROR", logger="repro.serve"):
+            resumed, stats, offset = run(second_life())
+        assert resumed == ["good"]
+        assert offset == 240
+        assert stats["degraded"] == {"torn": "unreadable-metadata"}
+        assert "torn" not in stats["sessions"]
+        assert any(str(meta) in record.getMessage() for record in caplog.records)
+        after = sorted(
+            (p.relative_to(tmp_path), p.read_bytes())
+            for p in (tmp_path / "torn").rglob("*")
+            if p.is_file()
+        )
+        assert after == before, "the unreadable tenant's files must stay as they were"
+
+    def test_resume_all_skips_metadata_with_an_invalid_config(self, tmp_path):
+        # Say, written by a newer version with a policy this one lacks.
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        config = {**CONFIG.as_dict(), "backpressure": "drop-newest"}
+        (bad / "session.json").write_text(json.dumps({"config": config}))
+
+        async def scenario():
+            service = ClusterService(data_dir=tmp_path)
+            resumed = service.resume_all()
+            degraded = service.stats()["degraded"]
+            await service.shutdown()
+            return resumed, degraded
+
+        assert run(scenario()) == ([], {"bad": "unreadable-metadata"})
+
     def test_resume_all_without_data_dir_is_empty(self):
         async def scenario():
             return ClusterService().resume_all()

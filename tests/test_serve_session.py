@@ -11,14 +11,12 @@ import asyncio
 import itertools
 import math
 import random
-import sys
 
 import numpy as np
 import pytest
 
 from repro.api import cluster_stream
 from repro.common.config import WindowSpec
-from repro.common.distance import squared_distance
 from repro.common.snapshot import Clustering
 from repro.datasets.io import MalformedRecord
 from repro.query.archive import SnapshotArchive
@@ -265,24 +263,24 @@ class TestClassifyTieBreak:
 
 
 def reference_classify(view: SessionView, coords) -> dict:
-    """The per-core scan ``classify`` replaced, kept as its reference."""
-    best = None  # (sq, label, pid)
-    eps_sq = view.eps * view.eps
+    """The per-core scan ``classify`` replaced, kept as its reference: it
+    decides and measures with ``math.dist``, the definition of "within eps"."""
+    best = None  # (distance, label, pid)
     for pid, core_coords, label in zip(
         view.core_pids.tolist(), view.core_coords.tolist(), view.core_labels.tolist()
     ):
         if len(core_coords) != len(coords):
             continue
-        sq = squared_distance(coords, core_coords)
-        if sq <= eps_sq:
-            key = (sq, label, pid)
+        distance = math.dist(coords, core_coords)
+        if distance <= view.eps:
+            key = (distance, label, pid)
             if best is None or key < best:
                 best = key
     return {
         "stride": view.stride,
         "label": Clustering.NOISE_ID if best is None else best[1],
         "nearest_core": None if best is None else best[2],
-        "distance": None if best is None else math.sqrt(best[0]),
+        "distance": None if best is None else best[0],
     }
 
 
@@ -314,9 +312,8 @@ class TestVectorisedClassify:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_grid_cores_match_the_reference_exactly(self, dim):
         # On the 0.25 grid every squared distance is exact in float64, so
-        # summation order cannot matter: the answers, distance included,
-        # must be identical. The grid also forces exact-distance ties
-        # between cores of equal and of different labels.
+        # the answers must be identical. The grid also forces exact-distance
+        # ties between cores of equal and of different labels.
         rng = random.Random(100 + dim)
         ties = 0
         for _ in range(60):
@@ -326,28 +323,20 @@ class TestVectorisedClassify:
                 expected = reference_classify(view, probe)
                 assert view.classify(probe) == expected, (cores, probe)
                 if expected["distance"] is not None:
-                    sq = [squared_distance(probe, c) for _, c, _ in cores]
-                    ties += sq.count(min(sq)) > 1
+                    dists = [math.dist(probe, c) for _, c, _ in cores]
+                    ties += dists.count(min(dists)) > 1
         assert ties >= 10, "the grid sets must exercise exact-distance ties"
 
-    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_continuous_cores_match_the_reference(self, dim):
-        # Off the grid, dists_to_many may sum the squared terms in another
-        # order than the scalar loop (it does for d >= 3), so the distance
-        # is held to a float64 tolerance; the winner must be the same.
+        # Off the grid too: the distance comes from math.dist on both
+        # sides, so the answers, distance included, must be identical.
         rng = random.Random(200 + dim)
-        tolerance = 4 * sys.float_info.epsilon
         for _ in range(60):
             cores = random_cores(rng, dim, grid=False)
             view = make_view(cores, eps=rng.uniform(0.1, 1.0))
             for probe in random_probes(rng, cores, dim, grid=False):
-                expected = reference_classify(view, probe)
-                answer = view.classify(probe)
-                assert {**answer, "distance": None} == {**expected, "distance": None}
-                if expected["distance"] is not None:
-                    assert math.isclose(
-                        answer["distance"], expected["distance"], rel_tol=tolerance
-                    )
+                assert view.classify(probe) == reference_classify(view, probe)
 
     def test_probe_of_another_dimensionality_is_noise(self):
         view = make_view([(1, (0.0, 0.0), 4), (2, (0.5, 0.0), 4)])
