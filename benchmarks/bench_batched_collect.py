@@ -1,7 +1,7 @@
 """Microbenchmark: batched COLLECT/repair calls vs per-point loops.
 
 COLLECT and anchor repair issue one ``insert_many`` / ``delete_many`` /
-``ball_many`` call per stride instead of one Python-level index call per
+``ball_many_pids`` call per stride instead of one Python-level index call per
 point. Whether that pays depends entirely on the backend: the vectorized
 grid amortises distance evaluations across centers in numpy, the R-tree can
 STR-pack a prefill batch, while backends without overrides run the exact
@@ -51,9 +51,6 @@ class LoopedView(NeighborIndex):
     def ball(self, center, radius):
         return self.inner.ball(center, radius)
 
-    def count_ball(self, center, radius):
-        return self.inner.count_ball(center, radius)
-
     def coords_of(self, pid):
         return self.inner.coords_of(pid)
 
@@ -83,7 +80,7 @@ def run_batched_collect():
         for backend in backends:
             arms = {}
             for arm in ("batched", "looped"):
-                index = make_index(backend, eps=info.eps, dim=info.dim)
+                index = make_index(backend, eps=info.eps)
                 if arm == "looped":
                     index = LoopedView(index)
                 method = DISC(

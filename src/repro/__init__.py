@@ -37,7 +37,6 @@ from repro.core import (
     StrideSummary,
 )
 from repro.index import (
-    EpochAdapter,
     GridIndex,
     LinearScanIndex,
     NeighborIndex,
@@ -45,7 +44,6 @@ from repro.index import (
     VectorGridIndex,
     available_indexes,
     make_index,
-    register_index,
 )
 from repro.metrics import (
     adjusted_rand_index,
@@ -80,7 +78,6 @@ __all__ = [
     "ClusteringParams",
     "DBStream",
     "EDMStream",
-    "EpochAdapter",
     "EvolutionEvent",
     "EvolutionKind",
     "ExtraN",
@@ -103,7 +100,6 @@ __all__ = [
     "cluster_static",
     "cluster_stream",
     "make_index",
-    "register_index",
     "drive",
     "drive_supervised",
     "equivalent",

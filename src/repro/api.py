@@ -14,7 +14,7 @@ instead of by luck. See ``docs/operations.md``.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from repro.common.config import WindowSpec
 from repro.common.errors import ConfigurationError
@@ -34,7 +34,7 @@ def cluster_stream(
     *,
     time_based: bool = False,
     clusterer=None,
-    index: str | NeighborIndex | Callable[[], NeighborIndex] | None = None,
+    index: str | NeighborIndex | None = None,
     checkpoint_dir: str | None = None,
     checkpoint_every: int = 16,
     resume: bool | str = False,
@@ -53,9 +53,9 @@ def cluster_stream(
         time_based: interpret the spec as durations over point timestamps.
         clusterer: optional pre-built clusterer to drive instead of DISC.
         index: spatial-index backend for the default DISC clusterer — a
-            registry name (see ``repro.index.registry``), a ready
-            :class:`~repro.index.base.NeighborIndex`, or a factory. Ignored
-            when ``clusterer`` is given.
+            registry name (see ``repro.index.registry``) or a ready
+            :class:`~repro.index.base.NeighborIndex`. Ignored when
+            ``clusterer`` is given.
         checkpoint_dir: directory for durable checkpoints; enables the
             resilient runtime (requires ``index`` to be a name or None).
         checkpoint_every: strides between checkpoints.
@@ -153,15 +153,15 @@ def cluster_static(
     eps: float,
     tau: int,
     *,
-    index: str | NeighborIndex | Callable[[], NeighborIndex] | None = None,
+    index: str | NeighborIndex | None = None,
 ) -> Clustering:
     """One-shot DBSCAN clustering of a finite point set (no window).
 
     Args:
         points: the finite point set.
         eps, tau: DBSCAN thresholds.
-        index: spatial-index backend (name, instance, or factory); defaults
-            to the R-tree.
+        index: spatial-index backend (name or instance); defaults to the
+            R-tree.
 
     Example:
         >>> from repro.api import cluster_static

@@ -9,7 +9,7 @@ Example 1: one per point in the window).
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 from repro.common.config import ClusteringParams
 from repro.common.errors import StreamOrderError
@@ -87,9 +87,8 @@ class SlidingDBSCAN:
 
     Args:
         eps, tau: DBSCAN thresholds.
-        index: injected spatial substrate — a registry name, a ready
-            :class:`~repro.index.base.NeighborIndex`, or a factory; defaults
-            to the R-tree.
+        index: injected spatial substrate — a registry name or a ready
+            :class:`~repro.index.base.NeighborIndex`; defaults to the R-tree.
     """
 
     name = "DBSCAN"
@@ -99,7 +98,7 @@ class SlidingDBSCAN:
         eps: float,
         tau: int,
         *,
-        index: str | NeighborIndex | Callable[[], NeighborIndex] | None = None,
+        index: str | NeighborIndex | None = None,
     ) -> None:
         self.params = ClusteringParams(
             eps, tau, index=index if isinstance(index, str) else None

@@ -25,7 +25,7 @@ the paper's Figure 5 failure mode). Exact results: identical to DBSCAN.
 from __future__ import annotations
 
 from collections import Counter, deque
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 from repro.common.config import ClusteringParams, WindowSpec
 from repro.common.errors import ConfigurationError, StreamOrderError
@@ -61,8 +61,8 @@ class ExtraN:
             expiry slides are exact (the setting used throughout the paper's
             evaluation).
         index: substrate for the single arrival-time range search — a
-            registry name, a ready :class:`~repro.index.base.NeighborIndex`,
-            or a factory (default R-tree).
+            registry name or a ready
+            :class:`~repro.index.base.NeighborIndex` (default R-tree).
     """
 
     name = "EXTRA-N"
@@ -73,7 +73,7 @@ class ExtraN:
         tau: int,
         spec: WindowSpec,
         *,
-        index: str | NeighborIndex | Callable[[], NeighborIndex] | None = None,
+        index: str | NeighborIndex | None = None,
     ) -> None:
         if spec.window % spec.stride != 0:
             raise ConfigurationError(

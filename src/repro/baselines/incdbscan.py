@@ -17,14 +17,13 @@ That difference is the entire performance gap measured in Figures 4-7.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 from repro.common.points import StreamPoint
 from repro.common.snapshot import Clustering
 from repro.core.disc import DISC
 from repro.core.events import StrideSummary
 from repro.index.base import NeighborIndex
-from repro.index.registry import make_index
 
 
 class IncrementalDBSCAN:
@@ -35,9 +34,8 @@ class IncrementalDBSCAN:
     Args:
         eps: distance threshold.
         tau: density threshold (MinPts, neighbourhood includes the point).
-        index: spatial-index backend — a registry name, a ready
-            :class:`~repro.index.base.NeighborIndex`, or a factory
-            (default R-tree).
+        index: spatial-index backend — a registry name or a ready
+            :class:`~repro.index.base.NeighborIndex` (default R-tree).
         multi_starter / epoch_probing: reachability-check optimizations,
             granted "in its own favor" as in the paper's evaluation.
     """
@@ -49,14 +47,14 @@ class IncrementalDBSCAN:
         eps: float,
         tau: int,
         *,
-        index: str | NeighborIndex | Callable[[], NeighborIndex] | None = None,
+        index: str | NeighborIndex | None = None,
         multi_starter: bool = True,
         epoch_probing: bool = True,
     ) -> None:
         self._engine = DISC(
             eps,
             tau,
-            index=make_index(index, eps=eps),
+            index=index,
             multi_starter=multi_starter,
             epoch_probing=epoch_probing,
         )

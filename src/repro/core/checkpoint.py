@@ -29,9 +29,10 @@ import json
 
 import numpy as np
 
-from repro.common.errors import ReproError
+from repro.common.errors import ConfigurationError, ReproError
 from repro.core.disc import DISC
 from repro.core.store import DELETED, NO_ID, WAS_CORE
+from repro.index.registry import check_backend
 
 CHECKPOINT_VERSION = 3
 
@@ -146,10 +147,15 @@ def _validate(payload: dict) -> None:
             f"checkpoint is missing required keys: {', '.join(missing)}"
         )
     index = payload.get("index")
-    if index is not None and not isinstance(index, str):
-        raise CheckpointError(
-            f"checkpoint 'index' must be a backend name or null, got {index!r}"
-        )
+    if index is not None:
+        if not isinstance(index, str):
+            raise CheckpointError(
+                f"checkpoint 'index' must be a backend name or null, got {index!r}"
+            )
+        try:
+            check_backend(index)
+        except ConfigurationError as exc:
+            raise CheckpointError(str(exc)) from None
     if version >= 3:
         _validate_columns(payload["columns"])
     else:

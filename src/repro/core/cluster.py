@@ -18,8 +18,8 @@ untouched. Because every ex-core and neo-core is scanned exactly once per
 phase, and the quantities that classify a neighbour (index membership, the
 ``DELETED``/``WAS_CORE`` flags and ``n_eps``) are all static within a phase
 — the BFS only mutates ``c_core``, anchors and cluster ids — each phase
-prefetches *all* of its scan balls with one batched ``ball_many`` call and
-gathers their classification masks in one shot (:func:`_scan_plan`). All
+prefetches *all* of its scan balls with one batched ``ball_many_pids`` call
+and gathers their classification masks in one shot (:func:`_scan_plan`). All
 order-sensitive iteration (class seeds, claim settlement, bonding-root
 unions, repair scans) runs in sorted order, so cluster-id assignment never
 depends on set-iteration internals.
@@ -62,8 +62,8 @@ def _scan_plan(store, index, pids, eps: float, tau: int) -> dict:
     membership, the ``DELETED``/``WAS_CORE`` flags and ``n_eps`` never
     change (the BFS mutates only ``c_core``, anchors and cluster ids), and
     every member of ``pids`` is range-searched exactly once by the
-    sequential loop — so one ``ball_many`` over the deduplicated set leaves
-    the index-stats ledger identical to per-pop :meth:`ball` calls.
+    sequential loop — so one ``ball_many_pids`` over the deduplicated set
+    leaves the index-stats ledger identical to per-pop :meth:`ball` calls.
     """
     order = sorted(set(pids))
     if not order:
@@ -573,7 +573,7 @@ def repair_anchors(state: WindowState, index) -> int:
     """Re-anchor borders whose anchor core vanished (Section V, last resort).
 
     Each repair costs one range search; the searches are mutation-free, so
-    the whole repair set is issued as one batched ``ball_many`` call.
+    the whole repair set is issued as one batched ``ball_many_pids`` call.
     Returns the number of searches spent. The repair set is scanned in
     sorted order so the pending list — and with it the index-stats ledger —
     never depends on set-iteration internals.

@@ -62,11 +62,11 @@ def collect(
 
     One range search is executed per point in ``delta_out`` and per point in
     ``delta_in`` — exactly the paper's accounting — but each delta is issued
-    as a *single* batched ``ball_many`` call, so backends with vectorized or
-    bulk machinery amortise work across the whole stride. Alongside the
-    ``n_eps`` updates of Algorithm 1, the same searches maintain each
-    point's core neighbour count ``c_core`` (the border bookkeeping of
-    DESIGN.md §3.3).
+    as a *single* batched ``ball_many_pids`` call, so backends with
+    vectorized or bulk machinery amortise work across the whole stride.
+    Alongside the ``n_eps`` updates of Algorithm 1, the same searches
+    maintain each point's core neighbour count ``c_core`` (the border
+    bookkeeping of DESIGN.md §3.3).
     """
     store = state.store
     params = state.params

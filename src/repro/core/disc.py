@@ -18,7 +18,7 @@ Example:
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from repro.core.events import StrideSummary
 from repro.core.state import WindowState
 from repro.core.store import WAS_CORE
 from repro.index.base import NeighborIndex
-from repro.index.registry import resolve_index
+from repro.index.registry import make_index
 
 
 class DISC:
@@ -46,14 +46,13 @@ class DISC:
         tau: density threshold (MinPts); a point is core when its
             epsilon-neighbourhood including itself holds >= tau points.
         index: spatial-index backend — a registry name (``"rtree"``,
-            ``"grid"``, ``"vectorgrid"``, ``"linear"``), a ready
-            :class:`~repro.index.base.NeighborIndex`, or a zero-argument
-            factory. Defaults to the R-tree the paper uses. Backends without
-            native epoch probing are transparently wrapped in an
-            :class:`~repro.index.epochs.EpochAdapter` when ``epoch_probing``
-            is on.
+            ``"vectorgrid"``, ``"linear"``) or a ready
+            :class:`~repro.index.base.NeighborIndex`. Defaults to the R-tree
+            the paper uses.
         multi_starter: use MS-BFS for connectivity checks (Figure 8 knob).
-        epoch_probing: use epoch-based index probing (Figure 8 knob).
+        epoch_probing: use epoch-based index probing (Figure 8 knob); acts
+            only on an index that declares ``supports_epochs`` (the R-tree
+            and the linear scan), any other is probed with plain balls.
         tracer: optional :class:`~repro.observability.trace.Tracer`; when
             set, every ``advance`` produces one
             :class:`~repro.observability.trace.StrideTrace` with phase
@@ -69,7 +68,7 @@ class DISC:
         eps: float,
         tau: int,
         *,
-        index: str | NeighborIndex | Callable[[], NeighborIndex] | None = None,
+        index: str | NeighborIndex | None = None,
         multi_starter: bool = True,
         epoch_probing: bool = True,
         tracer=None,
@@ -78,11 +77,7 @@ class DISC:
             eps, tau, index=index if isinstance(index, str) else None
         )
         self.state = WindowState(self.params)
-        self.index = resolve_index(
-            index if index is not None else self.params.index,
-            eps=eps,
-            epoch_probing=epoch_probing,
-        )
+        self.index = make_index(index, eps=eps)
         self.multi_starter = multi_starter
         self.epoch_probing = epoch_probing
         self.tracer = tracer

@@ -18,7 +18,9 @@ every expansion is a range search against the spatial index.
 
 Epoch-based probing (``epoch_probing=True``) is orthogonal: expansions use
 :meth:`ball_unvisited` with the current tick, so regions already covered are
-pruned inside the index. Marking discipline (see ``repro.index.rtree``):
+pruned inside the index. It needs visit epochs inside the index (the R-tree
+and the linear scan declare ``supports_epochs``); any other index is probed
+with plain balls. Marking discipline (see ``repro.index.rtree``):
 non-core points are marked when first returned (they are never expanded);
 core vertices are marked only when *expanded*, so converging searches still
 see each other's frontier cores and can merge.
@@ -76,7 +78,8 @@ def check_connectivity(
         state: window state providing the per-point columns.
         seeds: core pids — the minimal bonding cores ``M^-(p)``.
         multi_starter: use MS-BFS (True) or sequential BFS (False).
-        epoch_probing: use epoch-filtered index probes.
+        epoch_probing: use epoch-filtered index probes when ``index``
+            supports them.
         on_border: optional callback ``(border_pid, expanding_core_pid)``
             invoked for every non-core point seen during expansion; DISC uses
             it to refresh border anchors (Section V).
@@ -99,7 +102,8 @@ def check_connectivity(
     n_eps_col = store.n_eps
     slot_of = store._slot_of
 
-    tick = index.new_tick() if epoch_probing else None
+    epochs = epoch_probing and index.supports_epochs
+    tick = index.new_tick() if epochs else None
 
     def should_mark(pid: int) -> bool:
         # Mark non-cores at first sight; cores only at expansion (see above).
@@ -164,25 +168,19 @@ def check_connectivity(
                 trace.counters.msbfs_queue_merges += 1
         return root
 
-    probe_pids = getattr(index, "ball_unvisited_pids", None)
-
     def expand(pid: int, group_root: int) -> int:
         """Expand one core vertex; returns the (possibly merged) group root."""
         if trace is not None:
             trace.counters.msbfs_expansions += 1
         root = group_root
-        # Ids-only probes (no candidate tuples), then scalar column reads per
-        # neighbour in exact ball order — the balls here are small enough
-        # that vectorized masking loses to two array lookups per point.
+        # Scalar column reads per neighbour in exact ball order — the balls
+        # here are small enough that vectorized masking loses to two array
+        # lookups per point.
         coords = store.coords[slot_of[pid]].tolist()
-        if epoch_probing:
-            if probe_pids is not None:
-                qids = probe_pids(coords, eps, tick, should_mark)
-            else:  # native-epoch backend without an ids-only probe
-                qids = [
-                    qid
-                    for qid, _ in index.ball_unvisited(coords, eps, tick, should_mark)
-                ]
+        if epochs:
+            qids = [
+                qid for qid, _ in index.ball_unvisited(coords, eps, tick, should_mark)
+            ]
             index.mark(pid, tick)
         else:
             qids = index.ball_pids(coords, eps).tolist()

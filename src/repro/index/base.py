@@ -1,26 +1,23 @@
 """The formal spatial-index contract every backend implements.
 
-Historically the indexes in this package shared only a duck-typed interface;
-:class:`NeighborIndex` makes the contract explicit. A backend provides the
-point-at-a-time primitives (``insert``, ``delete``, ``ball``, ``coords_of``,
-``items``) and inherits correct generic implementations of everything else:
-counting (:meth:`count_ball`) and the batched query layer
-(:meth:`insert_many`, :meth:`delete_many`, :meth:`ball_many`,
-:meth:`ball_many_pids`, :meth:`count_ball_many`). A ball holds the points p
-with ``within_eps(p, center, radius)`` (:mod:`repro.common.distance`).
+A backend provides the point-at-a-time primitives (``insert``, ``delete``,
+``ball``, ``coords_of``, ``items``) and inherits correct generic
+implementations of the rest: the batched mutations (:meth:`insert_many`,
+:meth:`delete_many`) and the ids-only queries (:meth:`ball_pids`,
+:meth:`ball_many_pids`). A ball holds the points p with
+``within_eps(p, center, radius)`` (:mod:`repro.common.distance`).
 
-The batched layer is the hot-path contract: COLLECT and anchor repair issue
-one batched call per stride instead of one Python-level call per point, so a
-backend that can amortise work across queries (the numpy grid, the STR
-bulk-loading R-tree) overrides the ``*_many`` methods while every other
-backend keeps the loop fallback — results must be identical either way.
+The batched layer is the hot-path contract: COLLECT, the class scans and
+anchor repair issue one :meth:`ball_many_pids` call per phase instead of one
+Python-level call per point. A backend that can amortise work across
+queries (the numpy grid) overrides it, one with bulk construction (the
+STR-packing R-tree) overrides :meth:`insert_many`, and every other backend
+keeps the loop fallback — results must be identical either way.
 
 A capability flag lets callers adapt instead of probing with ``hasattr``:
-:attr:`NeighborIndex.supports_epochs` says the backend natively implements
-the epoch probing trio (``new_tick`` / ``ball_unvisited`` / ``mark``, paper
-Algorithm 4). Backends without it are wrapped in
-:class:`repro.index.epochs.EpochAdapter`, which supplies the same semantics
-generically.
+:attr:`NeighborIndex.supports_epochs` says the backend implements the epoch
+probing trio (``new_tick`` / ``ball_unvisited`` / ``mark``, paper
+Algorithm 4). MS-BFS probes a backend without it with plain balls.
 """
 
 from __future__ import annotations
@@ -81,10 +78,6 @@ class NeighborIndex(ABC):
 
     # ----------------------------------------------------- generic fallbacks
 
-    def count_ball(self, center: Sequence[float], radius: float) -> int:
-        """Number of points within ``radius`` of ``center``."""
-        return len(self.ball(center, radius))
-
     def check_invariants(self) -> None:
         """Raise when a structural invariant is violated; no-op by default."""
 
@@ -137,54 +130,28 @@ class NeighborIndex(ABC):
                 raise IndexError_(f"point {pid} is not indexed")
             seen.add(pid)
 
-    def ball_many(
-        self, centers: Sequence[Sequence[float]], radius: float
-    ) -> list[list[tuple[int, Coords]]]:
-        """One ball result list per center, in input order.
-
-        Must return exactly what per-center :meth:`ball` calls would: the
-        same points per ball, counted as one range search each in
-        :attr:`stats`. Vectorized backends override this to share work
-        across centers.
-        """
-        ball = self.ball
-        return [ball(center, radius) for center in centers]
-
-    def count_ball_many(
-        self, centers: Sequence[Sequence[float]], radius: float
-    ) -> list[int]:
-        """One in-ball count per center, in input order.
-
-        Counts through :meth:`ball_many_pids`, so a backend with a batched
-        ids-only path (the numpy grid) counts with it. Results are identical
-        to per-center :meth:`count_ball` calls.
-        """
-        return [len(pids) for pids in self.ball_many_pids(centers, radius)]
-
     def ball_pids(self, center: Sequence[float], radius: float) -> np.ndarray:
         """Pids within ``radius`` of ``center``, in :meth:`ball` order.
 
-        The single-center ids-only query; same contract as
-        :meth:`ball_many_pids` with one center, counted as one range search.
+        The ids-only :meth:`ball`, counted as one range search, for callers
+        that resolve coordinates themselves (the columnar store keeps them
+        in its own arena).
         """
         ball = self.ball(center, radius)
         return np.fromiter((pid for pid, _ in ball), dtype=np.int64, count=len(ball))
 
     def ball_many_pids(
         self, centers: Sequence[Sequence[float]], radius: float
-    ):
-        """One int64 pid array per center, in :meth:`ball` order.
+    ) -> list[np.ndarray]:
+        """One :meth:`ball_pids` result per center, in input order.
 
-        The ids-only variant of :meth:`ball_many` for callers that resolve
-        coordinates themselves (the columnar store keeps them in its own
-        arena): skipping the per-candidate ``(pid, coords)`` tuple building
-        is the difference between the batched layer paying off and breaking
-        even on small balls. Stats accounting is identical to
-        :meth:`ball_many` — one range search per center.
+        Must return exactly what per-center :meth:`ball_pids` calls would,
+        counted as one range search per center. Vectorized backends override
+        this to share work across centers; the fallback calls :meth:`ball`
+        directly, one Python call per center fewer on the R-tree's hot path.
         """
+        ball = self.ball
         return [
-            np.fromiter(
-                (pid for pid, _ in ball), dtype=np.int64, count=len(ball)
-            )
-            for ball in self.ball_many(centers, radius)
+            np.fromiter((pid for pid, _ in hits), dtype=np.int64, count=len(hits))
+            for hits in [ball(center, radius) for center in centers]
         ]

@@ -1,4 +1,4 @@
-"""Cell-grid index used by the rho-double-approximate DBSCAN baseline.
+"""Cell grid behind the rho2-DBSCAN, DBSTREAM and EDMStream baselines.
 
 Space is tiled into hypercubes of side ``eps / sqrt(d)``, so any two points in
 the same cell are within ``eps`` of each other (the standard grid trick from
@@ -28,8 +28,7 @@ class GridIndex(NeighborIndex):
         eps: the distance threshold the grid is tuned for; the cell side is
             ``eps / sqrt(dim)``.
         dim: dimensionality of the points; when omitted the grid stays
-            dormant until the first insertion reveals it (which is how the
-            backend registry builds grids before any data has arrived).
+            dormant until the first insertion reveals it.
     """
 
     def __init__(

@@ -155,16 +155,14 @@ def corrupt_checkpoint(path: str | os.PathLike, offset: int = -20) -> None:
 class FlakyIndex(NeighborIndex):
     """Index wrapper whose queries fail once a fuse burns down.
 
+    It declares no epochs, so MS-BFS probes it with fused ``ball_pids``.
+
     Args:
         inner: the real backend.
-        fail_after: number of range queries (``ball`` / ``count_ball`` and
-            their batched forms) served before every further query raises.
+        fail_after: number of range queries (``ball``, ``ball_pids`` and
+            ``ball_many_pids``) served before every further query raises.
         exc: exception type raised once the fuse is burnt.
     """
-
-    # Declared epoch-less so the EpochAdapter wraps us and every probe
-    # routes through the fuse.
-    supports_epochs = False
 
     def __init__(
         self,
@@ -200,18 +198,6 @@ class FlakyIndex(NeighborIndex):
     def ball(self, center, radius):
         self._fuse()
         return self.inner.ball(center, radius)
-
-    def count_ball(self, center, radius):
-        self._fuse()
-        return self.inner.count_ball(center, radius)
-
-    def ball_many(self, centers, radius):
-        self._fuse()
-        return self.inner.ball_many(centers, radius)
-
-    def count_ball_many(self, centers, radius):
-        self._fuse()
-        return self.inner.count_ball_many(centers, radius)
 
     def ball_pids(self, center, radius):
         self._fuse()

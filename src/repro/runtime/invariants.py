@@ -46,7 +46,10 @@ def check_state(disc: DISC) -> list[str]:
     n_eps = store.n_eps[slots]
 
     # n_eps consistency, batched through the index's hot-path layer.
-    counts = np.asarray(disc.index.count_ball_many(coords, eps), dtype=np.int64)
+    counts = np.array(
+        [len(ball) for ball in disc.index.ball_many_pids(coords, eps)],
+        dtype=np.int64,
+    )
     for i in np.flatnonzero(n_eps != counts).tolist():
         violations.append(
             f"n_eps mismatch for point {pids[i]}: cached {int(n_eps[i])}, "

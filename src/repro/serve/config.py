@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from repro.common.errors import ConfigurationError
+from repro.index.registry import check_backend
 from repro.runtime.wal import FSYNC_POLICIES
 
 #: Admission-control policies applied when producers outrun the stride loop.
@@ -101,11 +102,13 @@ class SessionConfig:
             raise ConfigurationError(
                 f"queue_limit must be >= 1, got {self.queue_limit}"
             )
-        if self.index is not None and not isinstance(self.index, str):
-            raise ConfigurationError(
-                "a served session needs a registry index *name* (or None) "
-                f"so checkpoints can be restored; got {self.index!r}"
-            )
+        if self.index is not None:
+            if not isinstance(self.index, str):
+                raise ConfigurationError(
+                    "a served session needs a registry index *name* (or None) "
+                    f"so checkpoints can be restored; got {self.index!r}"
+                )
+            check_backend(self.index)
         if self.wal_fsync not in FSYNC_POLICIES:
             raise ConfigurationError(
                 f"unknown WAL fsync policy {self.wal_fsync!r}; "

@@ -8,6 +8,18 @@ import pytest
 
 from repro.common.config import ClusteringParams, WindowSpec
 from repro.common.points import StreamPoint
+from repro.index import GridIndex, available_indexes
+
+#: Every index DISC is held exact on, by test id: the registry's backends by
+#: name, and ``grid``, the grid baselines' ``GridIndex``, handed to DISC as an
+#: instance. It is the one index here with neither epochs nor ids-only
+#: queries of its own, so DISC probes it through the base-class fallbacks.
+DISC_INDEXES = (*available_indexes(), "grid")
+
+
+def disc_index(name: str, eps: float):
+    """DISC's ``index=`` argument for a :data:`DISC_INDEXES` id."""
+    return GridIndex(eps) if name == "grid" else name
 
 
 def clustered_stream(

@@ -80,10 +80,10 @@ class TestBulkLoad:
         assert bulk.stats.nodes_accessed <= grown.stats.nodes_accessed
 
     def test_usable_by_disc(self):
-        # A factory returning a pre-packed empty tree is still valid.
+        # A pre-packed empty tree is a valid index.
         from repro.core.disc import DISC
         from tests.conftest import clustered_stream
 
-        disc = DISC(0.7, 4, index=lambda: RTree.bulk_load([]))
+        disc = DISC(0.7, 4, index=RTree.bulk_load([]))
         disc.advance(clustered_stream(1, 100), ())
         assert disc.snapshot().num_clusters >= 1

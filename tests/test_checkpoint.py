@@ -150,6 +150,17 @@ class TestBackendRestore:
         run_slides(restored, slides[6:])
         assert restored.labels() == disc.labels()
 
+    def test_unknown_backend_is_a_checkpoint_error(self):
+        """A backend this build lacks (``grid`` left the registry)."""
+        disc = DISC(0.7, 4)
+        disc.advance(clustered_stream(8, 120), ())
+        payload = {**to_checkpoint(disc), "index": "grid"}
+        with pytest.raises(
+            CheckpointError,
+            match="unknown index backend 'grid'; registered: linear, rtree, vectorgrid",
+        ):
+            from_checkpoint(payload)
+
     def test_version1_payload_restores_on_default_backend(self):
         """Pre-registry checkpoints carry no backend name; still restorable."""
         disc = DISC(0.7, 4)

@@ -41,10 +41,11 @@ class TestFacade:
         assert "msbfs=False" in repr(disc)
         assert "eps=1.0" in repr(disc)
 
-    def test_custom_index_from_factory(self):
-        disc = DISC(eps=1.0, tau=3, index=LinearScanIndex)
+    def test_custom_index_instance(self):
+        index = LinearScanIndex()
+        disc = DISC(eps=1.0, tau=3, index=index)
         disc.advance(blob(0, 0, 0), ())
-        assert isinstance(disc.index, LinearScanIndex)
+        assert disc.index is index
         assert disc.snapshot().num_clusters == 1
 
     def test_stats_exposed(self):

@@ -29,6 +29,7 @@ from repro.index import RTree, available_indexes
 from repro.serve import SessionConfig
 from repro.serve.server import dispatch
 from repro.serve.service import ClusterService
+from tests.conftest import DISC_INDEXES, disc_index
 
 EPS, TAU = 0.05, 2
 P1 = (7.078621924830589, 8.192821811677478)
@@ -44,7 +45,7 @@ STRADDLE = [StreamPoint(3, (0.05, 3.0), 3.0), StreamPoint(4, (-1e-18, 3.0), 4.0)
 
 
 def offline_labels(backend: str, points) -> dict[int, tuple[int, str]]:
-    disc = DISC(EPS, TAU, index=backend)
+    disc = DISC(EPS, TAU, index=disc_index(backend, EPS))
     disc.advance(points, [])
     snapshot = disc.snapshot()
     return {
@@ -103,7 +104,7 @@ CASES = {
 @pytest.mark.parametrize("case", CASES)
 def test_every_backend_labels_alike(case):
     points, expected = CASES[case]
-    for backend in available_indexes():
+    for backend in DISC_INDEXES:
         assert offline_labels(backend, points) == expected, backend
 
 

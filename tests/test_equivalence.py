@@ -1,10 +1,10 @@
 """The paper's central claim, end to end: DISC == DBSCAN, always.
 
 Randomized sliding-window streams are replayed into DISC (in every
-optimization configuration and on every index backend), IncDBSCAN and
-EXTRA-N; after every single stride all four must be equivalent to
-from-scratch DBSCAN under the contract of DESIGN.md §3.4, and every DISC's
-incremental bookkeeping must pass the invariant checker.
+optimization configuration and on every index, epoch probing on and off),
+IncDBSCAN and EXTRA-N; after every single stride all four must be
+equivalent to from-scratch DBSCAN under the contract of DESIGN.md §3.4, and
+every DISC's incremental bookkeeping must pass the invariant checker.
 """
 
 import pytest
@@ -15,10 +15,23 @@ from repro.baselines.incdbscan import IncrementalDBSCAN
 from repro.common.config import WindowSpec
 from repro.core.disc import DISC
 from repro.datasets.maze import maze_stream
-from repro.index.registry import available_indexes
 from repro.metrics.compare import assert_equivalent
 from repro.runtime.invariants import check_state
-from tests.conftest import churn_with_noise, clustered_stream, run_windowed
+from tests.conftest import (
+    DISC_INDEXES,
+    churn_with_noise,
+    clustered_stream,
+    disc_index,
+    run_windowed,
+)
+
+
+def both_epoch_arms(eps, tau, index):
+    """DISC on one index with epoch probing on and off."""
+    return [
+        DISC(eps, tau, index=disc_index(index, eps), epoch_probing=epoch)
+        for epoch in (True, False)
+    ]
 
 
 def check_stream(methods, reference, points, spec, *, time_based=False):
@@ -84,29 +97,29 @@ class TestDiscEquivalence:
         )
         check_stream([DISC(0.7, 4)], SlidingDBSCAN(0.7, 4), points, spec)
 
-    @pytest.mark.parametrize("index", available_indexes())
+    @pytest.mark.parametrize("index", DISC_INDEXES)
     def test_maze_stream(self, index):
         points, _ = maze_stream(600, seed=3)
         spec = WindowSpec(window=200, stride=50)
         check_stream(
-            [DISC(0.6, 4, index=index)], SlidingDBSCAN(0.6, 4), points, spec
+            both_epoch_arms(0.6, 4, index), SlidingDBSCAN(0.6, 4), points, spec
         )
 
-    @pytest.mark.parametrize("index", available_indexes())
+    @pytest.mark.parametrize("index", DISC_INDEXES)
     def test_churn_with_noise(self, index):
         spec = WindowSpec(window=90, stride=18)
         check_stream(
-            [DISC(0.55, 3, index=index)],
+            both_epoch_arms(0.55, 3, index),
             SlidingDBSCAN(0.55, 3),
             churn_with_noise(9, 400),
             spec,
         )
 
-    @pytest.mark.parametrize("index", available_indexes())
+    @pytest.mark.parametrize("index", DISC_INDEXES)
     def test_time_based_window(self, index):
         spec = WindowSpec(window=80.0, stride=20.0)
         check_stream(
-            [DISC(0.7, 4, index=index)],
+            both_epoch_arms(0.7, 4, index),
             SlidingDBSCAN(0.7, 4),
             clustered_stream(22, 240),
             spec,

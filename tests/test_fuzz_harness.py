@@ -23,7 +23,7 @@ from repro.serve.session import SessionView
 
 from .test_fuzz_oracles import order_dependent_classify
 
-FAST = dict(backends=["grid"], oracles=["equivalence", "classify"])
+FAST = dict(backends=["vectorgrid"], oracles=["equivalence", "classify"])
 
 
 class TestDeterminism:
@@ -34,7 +34,7 @@ class TestDeterminism:
         assert a.as_dict() == b.as_dict()
 
     def test_cli_runs_are_byte_identical(self, tmp_path, capsys):
-        argv = ["fuzz", "--seed", "7", "--backends", "grid",
+        argv = ["fuzz", "--seed", "7", "--backends", "vectorgrid",
                 "--oracles", "equivalence"]
         assert main(argv) == 0
         first = capsys.readouterr().out
@@ -46,7 +46,7 @@ class TestCheckScenario:
     def test_counts_checks_across_the_matrix(self):
         scenario = generate_scenario(7)
         failures, checks = check_scenario(
-            scenario, backends=["grid", "linear"],
+            scenario, backends=["vectorgrid", "linear"],
             oracles=["equivalence", "classify"],
         )
         assert failures == []
@@ -69,7 +69,7 @@ class TestAcceptance:
         with monkeypatch.context() as m:
             m.setattr(SessionView, "classify", order_dependent_classify)
             report = fuzz_seed(
-                42, backends=["grid"], oracles=["classify"],
+                42, backends=["vectorgrid"], oracles=["classify"],
                 out_dir=tmp_path,
             )
         assert not report.ok
@@ -81,7 +81,7 @@ class TestAcceptance:
             # The issue's bar: the minimized stream is tiny.
             assert len(scenario.points) <= 20
             assert meta["oracle"] == "classify"
-            assert meta["backend"] == "grid"
+            assert meta["backend"] == "vectorgrid"
             assert meta["original_points"] > len(scenario.points)
 
         # With the fix back in place every archived case replays clean —
@@ -159,7 +159,7 @@ class TestCli:
         with monkeypatch.context() as m:
             m.setattr(SessionView, "classify", order_dependent_classify)
             code = main(
-                ["fuzz", "--seed", "42", "--backends", "grid",
+                ["fuzz", "--seed", "42", "--backends", "vectorgrid",
                  "--oracles", "classify", "--out", str(tmp_path),
                  "--json", str(tmp_path / "report.json")]
             )
@@ -175,7 +175,7 @@ class TestCli:
         with monkeypatch.context() as m:
             m.setattr(SessionView, "classify", order_dependent_classify)
             report = fuzz_seed(
-                42, backends=["grid"], oracles=["classify"],
+                42, backends=["vectorgrid"], oracles=["classify"],
                 out_dir=tmp_path,
             )
         case = report.cases[0]

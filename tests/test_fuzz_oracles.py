@@ -28,7 +28,7 @@ from repro.fuzz.scenarios import generate_scenario, scenarios_from_seed
 from repro.runtime.chaos import enumerate_fault_points
 from repro.serve.session import SessionView
 
-BACKEND = "grid"
+BACKEND = "vectorgrid"
 
 
 @pytest.fixture(scope="module")
@@ -145,10 +145,10 @@ class TestPlantedBugsAreCaught:
         assert failures[0].oracle == "serve"
 
     def test_failure_describe_carries_the_coordinates(self):
-        failure = OracleFailure("classify", "grid", 3, "probe went wrong")
+        failure = OracleFailure("classify", "vectorgrid", 3, "probe went wrong")
         text = failure.describe()
         assert "classify" in text
-        assert "grid" in text
+        assert "vectorgrid" in text
         assert "stride 3" in text
         assert "probe went wrong" in text
         headless = OracleFailure("serve", "rtree", None, "boom")

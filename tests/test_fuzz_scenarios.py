@@ -96,7 +96,7 @@ class TestStreamShape:
 class TestCaseFiles:
     def test_round_trip_preserves_everything(self, tmp_path):
         scenario = generate_scenario(42)
-        meta = {"oracle": "classify", "backend": "grid", "detail": "x"}
+        meta = {"oracle": "classify", "backend": "vectorgrid", "detail": "x"}
         path = save_case(tmp_path / "case.jsonl", scenario, meta=meta)
         loaded, loaded_meta = load_case(path)
         assert loaded.points == scenario.points

@@ -99,7 +99,7 @@ class TestVectorGrid:
         disc = DISC(
             eps,
             tau,
-            index=lambda: VectorGridIndex(eps, 2),
+            index=VectorGridIndex(eps, 2),
             epoch_probing=False,
         )
         reference = SlidingDBSCAN(eps, tau)
@@ -117,7 +117,7 @@ class TestVectorGrid:
         grid.insert(2, (3.0, 3.0))
         assert sorted(grid.items()) == [(1, (0.0, 0.0)), (2, (3.0, 3.0))]
 
-    def test_count_ball_matches_ball(self):
+    def test_ball_pids_matches_ball(self):
         grid = VectorGridIndex(eps=1.0, dim=3)
         rng = random.Random(5)
         for pid in range(500):
@@ -125,15 +125,17 @@ class TestVectorGrid:
         for _ in range(40):
             center = tuple(rng.uniform(0, 4) for _ in range(3))
             radius = rng.uniform(0.1, 1.0)
-            assert grid.count_ball(center, radius) == len(
-                grid.ball(center, radius)
-            )
+            assert grid.ball_pids(center, radius).tolist() == [
+                pid for pid, _ in grid.ball(center, radius)
+            ]
 
-    def test_count_ball_radius_cap(self):
+    def test_ball_pids_radius_cap(self):
         grid = VectorGridIndex(eps=1.0, dim=2)
         with pytest.raises(IndexError_):
-            grid.count_ball((0.0, 0.0), 2.0)
+            grid.ball_pids((0.0, 0.0), 2.0)
+        with pytest.raises(IndexError_):
+            grid.ball_many_pids([(0.0, 0.0)], 2.0)
 
-    def test_count_ball_empty(self):
+    def test_ball_pids_empty(self):
         grid = VectorGridIndex(eps=1.0, dim=2)
-        assert grid.count_ball((0.0, 0.0), 1.0) == 0
+        assert grid.ball_pids((0.0, 0.0), 1.0).tolist() == []

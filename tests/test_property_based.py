@@ -22,6 +22,7 @@ from repro.index.linear import LinearScanIndex
 from repro.index.rtree import RTree
 from repro.metrics.ari import adjusted_rand_index
 from repro.metrics.compare import assert_equivalent
+from repro.window.sliding import SlidingWindow
 from tests.conftest import point_field
 
 coordinate = st.floats(
@@ -310,32 +311,41 @@ class TestRho2Contract:
                 )
 
 
+def scanned_over_a_stream(seed: int) -> dict[bool, tuple[int, int]]:
+    """``epoch_probing -> (entries scanned, epoch prunes)`` over one stream.
+
+    600 gaussian points through a 120-point window at stride 20 (24 strides
+    that delete), eps 0.6, tau 4, on the default R-tree.
+    """
+    rng = random.Random(seed)
+    points = [
+        StreamPoint(i, (rng.gauss(0, 1.0), rng.gauss(0, 1.0)), float(i))
+        for i in range(600)
+    ]
+    totals = {}
+    for epoch in (True, False):
+        disc = DISC(0.6, 4, epoch_probing=epoch)
+        for delta_in, delta_out in SlidingWindow(WindowSpec(120, 20)).slides(points):
+            disc.advance(delta_in, delta_out)
+        totals[epoch] = (disc.stats.entries_scanned, disc.stats.epoch_prunes)
+    return totals
+
+
 class TestEpochProbingEffect:
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=0, max_value=999))
     def test_epoch_probing_scans_fewer_entries(self, seed):
         """The Figure 8 mechanism: epoch probes prune already-visited work.
 
-        Epoch filtering changes which neighbours a probe returns, which can
-        reorder MS-BFS expansions, so a strict per-instance inequality does
-        not hold; the property asserted is "never scans meaningfully more"
-        (identical clustering results are asserted elsewhere).
+        Epoch filtering changes which neighbours a probe returns, which
+        reorders MS-BFS expansions and moves their early exit, so a single
+        stride can scan more than plain probing. The property is over a
+        stream: epoch probes prune, and the stream's total scan stays within
+        5% of plain probing. Over all 1000 seeds the worst total was 2.8%
+        more, and the seeds together scanned 1.3% less (identical clustering
+        results are asserted elsewhere).
         """
-        rng = random.Random(seed)
-        points = [
-            StreamPoint(
-                i,
-                (rng.gauss(0, 1.0), rng.gauss(0, 1.0)),
-                float(i),
-            )
-            for i in range(120)
-        ]
-        victims = rng.sample(points, 20)
-        scanned = {}
-        for epoch in (True, False):
-            disc = DISC(0.6, 4, epoch_probing=epoch)
-            disc.advance(points, ())
-            before = disc.stats.entries_scanned
-            disc.advance((), victims)
-            scanned[epoch] = disc.stats.entries_scanned - before
-        assert scanned[True] <= scanned[False] * 1.25 + 200
+        totals = scanned_over_a_stream(seed)
+        (with_epochs, pruned), (without, _) = totals[True], totals[False]
+        assert pruned > 0
+        assert with_epochs <= without * 1.05

@@ -4,7 +4,7 @@ DISC issues exactly one range search per inserted and per deleted point
 (COLLECT), one per ex-core and per neo-core (CLUSTER's class scans), one per
 MS-BFS expansion, and one per border whose anchor needs repairing. The
 index's own ``range_searches`` counter must add up to that ledger on every
-backend and in every MS-BFS / epoch-probing arm.
+index and in every MS-BFS / epoch-probing arm.
 """
 
 import pytest
@@ -12,18 +12,17 @@ import pytest
 import repro.core.disc as disc_mod
 from repro.common.config import WindowSpec
 from repro.core.disc import DISC
-from repro.index.registry import available_indexes
 from repro.observability.sinks import InMemorySink
 from repro.observability.trace import Tracer
 from repro.window.sliding import SlidingWindow
-from tests.conftest import churn_with_noise
+from tests.conftest import DISC_INDEXES, churn_with_noise, disc_index
 
 ARMS = [(True, True), (True, False), (False, True), (False, False)]
 
 
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("multi_starter,epoch_probing", ARMS)
-@pytest.mark.parametrize("index", available_indexes())
+@pytest.mark.parametrize("index", DISC_INDEXES)
 def test_range_searches_match_the_ledger(
     monkeypatch, index, multi_starter, epoch_probing, seed
 ):
@@ -40,7 +39,7 @@ def test_range_searches_match_the_ledger(
     disc = DISC(
         0.55,
         3,
-        index=index,
+        index=disc_index(index, 0.55),
         multi_starter=multi_starter,
         epoch_probing=epoch_probing,
         tracer=Tracer(sink),

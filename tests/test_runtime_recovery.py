@@ -17,7 +17,6 @@ from repro.core.checkpoint import CheckpointError
 from repro.core.checkpoint import dumps as disc_dumps
 from repro.core.checkpoint import loads as disc_loads
 from repro.core.disc import DISC
-from repro.index.epochs import with_epochs
 from repro.index.registry import available_indexes, make_index
 from repro.metrics.compare import assert_equivalent
 from repro.runtime import (
@@ -180,6 +179,16 @@ class TestCorruptedCheckpoints:
         with pytest.raises(CheckpointError, match="integrity check"):
             run_to_end(supervisor, points, resume=True)
 
+    def test_unknown_backend_is_reported_not_restored(self, tmp_path):
+        points = clustered_stream(16, 200)
+        store = self._store_with_checkpoints(tmp_path, points)
+        stride, payload = store.latest()
+        payload["disc"]["index"] = "grid"  # a backend this build lacks
+        store.save(stride, payload)
+        supervisor = Supervisor(EPS, TAU, SPEC, store=store)
+        with pytest.raises(CheckpointError, match="unknown index backend 'grid'"):
+            run_to_end(supervisor, points, resume=True)
+
     def test_torn_write_is_reported_too(self, tmp_path):
         points = clustered_stream(16, 200)
         store = self._store_with_checkpoints(tmp_path, points)
@@ -205,7 +214,7 @@ class TestFlakyIndex:
     def test_queries_fail_after_fuse(self):
         # The batched query layer serves a whole phase per invocation, so a
         # single advance only issues a couple of fused calls.
-        flaky = FlakyIndex(make_index("grid", eps=EPS), fail_after=1)
+        flaky = FlakyIndex(make_index("vectorgrid", eps=EPS), fail_after=1)
         disc = DISC(EPS, TAU, index=flaky)
         with pytest.raises(IndexError_, match="chaos: index query"):
             disc.advance(clustered_stream(18, 150), ())
@@ -225,9 +234,8 @@ class TestFlakyIndex:
         crashed_at = None
         for i, (delta_in, delta_out) in enumerate(slides):
             if i == 2:
-                # Substrate starts failing: queries die mid-stride. The
-                # flaky wrapper is epoch-less, so re-wrap for probing.
-                disc.index = with_epochs(FlakyIndex(disc.index, fail_after=3))
+                # Substrate starts failing: queries die mid-stride.
+                disc.index = FlakyIndex(disc.index, fail_after=3)
                 try:
                     disc.advance(delta_in, delta_out)
                 except IndexError_:

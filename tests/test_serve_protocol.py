@@ -152,7 +152,7 @@ class TestSessionConfig:
             tau=4,
             window=400,
             stride=100,
-            index="grid",
+            index="vectorgrid",
             backpressure="shed-oldest",
             queue_limit=64,
             checkpoint_every=8,

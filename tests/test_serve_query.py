@@ -104,7 +104,7 @@ async def subscribe_and_collect(port, name, *, cursor=0, ready=None):
 
 
 class TestByteIdentity:
-    @pytest.mark.parametrize("index", ["grid", "rtree"])
+    @pytest.mark.parametrize("index", ["vectorgrid", "rtree"])
     def test_live_subscribe_events_and_offline_agree(self, tmp_path, index):
         """Identity leg 1: live push == EVENTS replay == offline build."""
         points = clustered_stream(51, 330)
@@ -145,9 +145,9 @@ class TestByteIdentity:
     def test_backends_produce_identical_journals(self, tmp_path):
         """Identity leg 2: the CDC stream is backend-invariant."""
         points = clustered_stream(52, 300)
-        grid = offline_records(points, index="grid")
+        vectorgrid = offline_records(points, index="vectorgrid")
         rtree = offline_records(points, index="rtree")
-        assert [encode_record(r) for r in grid] == [
+        assert [encode_record(r) for r in vectorgrid] == [
             encode_record(r) for r in rtree
         ]
 

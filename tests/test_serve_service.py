@@ -9,6 +9,7 @@ import os
 import pytest
 
 from repro.serve import ServeError, SessionConfig
+from repro.serve.server import dispatch
 from repro.serve.service import ClusterService
 
 from .conftest import clustered_stream
@@ -217,6 +218,62 @@ class TestDurability:
             return resumed, degraded
 
         assert run(scenario()) == ([], {"bad": "unreadable-metadata"})
+
+    def test_open_on_an_unknown_backend_leaves_no_tenant_behind(self, tmp_path):
+        bad = {**CONFIG.as_dict(), "index": "nope"}
+
+        async def first_life():
+            service = ClusterService(data_dir=tmp_path)
+            await service.open("good", CONFIG).offer(clustered_stream(0, 240))
+            reply = await dispatch(
+                service, {"op": "OPEN", "session": "bad", "config": bad}
+            )
+            await service.shutdown(flush_tail=False)
+            return reply
+
+        async def second_life():
+            service = ClusterService(data_dir=tmp_path)
+            resumed = service.resume_all()
+            stats = service.stats()
+            await service.shutdown()
+            return resumed, stats
+
+        reply = run(first_life())
+        assert reply["ok"] is False
+        assert "'nope'" in reply["error"]["message"]
+        assert "rtree" in reply["error"]["message"]
+        assert not (tmp_path / "bad").exists()
+        resumed, stats = run(second_life())
+        assert resumed == ["good"]
+        assert stats["degraded"] == {}
+
+    def test_resume_all_skips_a_tenant_stored_on_a_retired_backend(
+        self, tmp_path, caplog
+    ):
+        # Written before the grid backend left the registry.
+        async def first_life():
+            service = ClusterService(data_dir=tmp_path)
+            for name in ("good", "old"):
+                await service.open(name, CONFIG).offer(clustered_stream(0, 240))
+            await service.shutdown(flush_tail=False)
+
+        async def second_life():
+            service = ClusterService(data_dir=tmp_path)
+            resumed = service.resume_all()
+            stats = service.stats()
+            await service.shutdown()
+            return resumed, stats
+
+        run(first_life())
+        meta = tmp_path / "old" / "session.json"
+        payload = json.loads(meta.read_text())
+        payload["config"]["index"] = "grid"
+        meta.write_text(json.dumps(payload))
+        with caplog.at_level("ERROR", logger="repro.serve"):
+            resumed, stats = run(second_life())
+        assert resumed == ["good"]
+        assert stats["degraded"] == {"old": "unreadable-metadata"}
+        assert any("'grid'" in record.getMessage() for record in caplog.records)
 
     def test_resume_all_without_data_dir_is_empty(self):
         async def scenario():
