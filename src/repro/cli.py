@@ -775,8 +775,8 @@ def cmd_fuzz(args) -> int:
 def cmd_tail(args) -> int:
     """Follow a tenant's CDC journal: records to stdout, status to stderr."""
     import asyncio
-    import json
 
+    from repro.query.journal import encode_record
     from repro.serve.client import ServeClient
 
     async def _tail() -> int:
@@ -793,14 +793,7 @@ def cmd_tail(args) -> int:
             seen = 0
             async for frame in client.pushes():
                 if frame.get("push") == "event":
-                    print(
-                        json.dumps(
-                            frame["record"],
-                            separators=(",", ":"),
-                            sort_keys=True,
-                        ),
-                        flush=True,
-                    )
+                    print(encode_record(frame["record"]).decode(), flush=True)
                     seen += 1
                     if args.max and seen >= args.max:
                         return 0

@@ -21,9 +21,10 @@ class ClusteringParams:
             ``n_eps(p) = 1`` on insertion.
         index: registry name of the spatial-index backend the clusterer
             should run on (see ``repro.index.registry``), or ``None`` to let
-            the clusterer use its default (the R-tree) or an explicitly
-            injected index instance. Recorded here so a configuration round-
-            trips the substrate choice alongside the thresholds.
+            the clusterer use its default (the R-tree) or an injected index
+            instance of no registered class. DISC records the name of an
+            injected instance's backend here. Recorded so a configuration
+            round-trips the substrate choice alongside the thresholds.
     """
 
     eps: float

@@ -32,7 +32,7 @@ import numpy as np
 from repro.common.errors import ConfigurationError, ReproError
 from repro.core.disc import DISC
 from repro.core.store import DELETED, NO_ID, WAS_CORE
-from repro.index.registry import check_backend
+from repro.index.registry import available_indexes, backend_name, check_backend
 
 CHECKPOINT_VERSION = 3
 
@@ -81,8 +81,14 @@ def to_checkpoint(disc: DISC) -> dict:
     """Capture a DISC instance's full logical state.
 
     Exited ex-cores never survive past the end of an ``advance`` call, so a
-    checkpoint taken between strides holds live points only.
+    checkpoint taken between strides holds live points only. An index no
+    backend name rebuilds raises :class:`CheckpointError`.
     """
+    if disc.params.index is None and backend_name(disc.index) is None:
+        raise CheckpointError(
+            f"cannot checkpoint a DISC on a {type(disc.index).__name__}: no "
+            f"registered backend ({', '.join(available_indexes())}) restores it"
+        )
     state = disc.state
     arena = state.store
     slots = arena.live_slots()

@@ -31,7 +31,7 @@ from repro.core.events import StrideSummary
 from repro.core.state import WindowState
 from repro.core.store import WAS_CORE
 from repro.index.base import NeighborIndex
-from repro.index.registry import make_index
+from repro.index.registry import backend_name, make_index
 
 
 class DISC:
@@ -73,11 +73,10 @@ class DISC:
         epoch_probing: bool = True,
         tracer=None,
     ) -> None:
-        self.params = ClusteringParams(
-            eps, tau, index=index if isinstance(index, str) else None
-        )
-        self.state = WindowState(self.params)
         self.index = make_index(index, eps=eps)
+        name = index if index is None or isinstance(index, str) else backend_name(index)
+        self.params = ClusteringParams(eps, tau, index=name)
+        self.state = WindowState(self.params)
         self.multi_starter = multi_starter
         self.epoch_probing = epoch_probing
         self.tracer = tracer

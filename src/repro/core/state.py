@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.common.config import ClusteringParams
 from repro.common.disjointset import DisjointSet
-from repro.common.snapshot import Category, Clustering
+from repro.common.snapshot import BORDER_CODE, CORE_CODE, NOISE_CODE, Clustering
 from repro.core.store import DELETED, NO_ID, PointStore
 
 
@@ -48,6 +48,14 @@ class WindowState:
         store = self.store
         store.cid[store.slots_of(pids)] = NO_ID if cid is None else cid
 
+    def _roots(self, raw: np.ndarray) -> np.ndarray:
+        """Root cluster id of each raw id: one ``find`` per distinct id."""
+        uniq, inverse = np.unique(raw, return_inverse=True)
+        roots = np.fromiter(
+            (self.cids.find(int(c)) for c in uniq), dtype=np.int64, count=len(uniq)
+        )
+        return roots[inverse]
+
     def compact_cids(self) -> int:
         """Rebuild the cluster-id forest keeping only live roots.
 
@@ -58,24 +66,11 @@ class WindowState:
         Returns the number of forest entries after compaction.
         """
         fresh = DisjointSet()
-        live_roots: set[int] = set()
         store = self.store
-        # One vectorized pass: find the root of each *distinct* live id, then
-        # remap the whole cid column through the unique-inverse.
         slots = store.live_slots()
-        if len(slots):
-            mask = (store.cid[slots] != NO_ID) & ((store.flags[slots] & DELETED) == 0)
-            slots = slots[mask]
-        if len(slots):
-            uniq, inverse = np.unique(store.cid[slots], return_inverse=True)
-            roots = np.fromiter(
-                (self.cids.find(int(c)) for c in uniq),
-                dtype=np.int64,
-                count=len(uniq),
-            )
-            store.cid[slots] = roots[inverse]
-            live_roots.update(roots.tolist())
-        for root in live_roots:
+        slots = slots[(store.cid[slots] != NO_ID) & ((store.flags[slots] & DELETED) == 0)]
+        store.cid[slots] = self._roots(store.cid[slots])
+        for root in set(store.cid[slots].tolist()):
             fresh.find(root)  # registers the id as its own singleton
         # Never reuse an id: carry the counter forward.
         fresh._next_id = max(self.cids._next_id, fresh._next_id)
@@ -85,55 +80,29 @@ class WindowState:
     def snapshot(self) -> Clustering:
         """Freeze the current labels into a :class:`Clustering`.
 
-        Column-sliced: category masks over the live rows plus one
-        union-find resolution per distinct raw cluster id.
+        Column-sliced: one argsort of the live rows by pid, category masks
+        over them, and one union-find resolution per distinct raw cluster
+        id. Every column is a fresh array, never a view of the arena.
         """
         store = self.store
-        tau = self.params.tau
         slots = store.live_slots()
-        if len(slots):
-            slots = slots[(store.flags[slots] & DELETED) == 0]
-        if not len(slots):
-            return Clustering({}, {})
-        pids = store.pid[slots].tolist()
-        core_mask = store.n_eps[slots] >= tau
-        border_mask = ~core_mask & (store.c_core[slots] > 0)
+        slots = slots[(store.flags[slots] & DELETED) == 0]
+        pid = store.pid[slots]
+        order = np.argsort(pid)
+        slots, pid = slots[order], pid[order]
+        core = store.n_eps[slots] >= self.params.tau
+        border = ~core & (store.c_core[slots] > 0)
 
-        # Resolve roots once per distinct raw id, not once per point.
-        def resolve(raw_cids: np.ndarray) -> list[int]:
-            if not len(raw_cids):
-                return []
-            uniq, inverse = np.unique(raw_cids, return_inverse=True)
-            roots = np.fromiter(
-                (self.cids.find(int(c)) for c in uniq),
-                dtype=np.int64,
-                count=len(uniq),
-            )
-            return roots[inverse].tolist()
-
-        core_slots = slots[core_mask]
-        core_raw = store.cid[core_slots]
-        assert not np.any(core_raw == NO_ID), "core without a cluster id"
-        core_pids = store.pid[core_slots].tolist()
-        core_labels = resolve(core_raw)
-
-        border_slots = slots[border_mask]
-        border_anchors = store.anchor[border_slots]
-        assert not np.any(border_anchors == NO_ID), "border without an anchor"
-        anchor_slots = store.slots_of(border_anchors.tolist())
-        border_pids = store.pid[border_slots].tolist()
-        border_labels = resolve(store.cid[anchor_slots])
-
-        labels = dict(zip(core_pids, core_labels))
-        labels.update(zip(border_pids, border_labels))
-        categories = {
-            pid: (
-                Category.CORE
-                if is_core
-                else (Category.BORDER if is_border else Category.NOISE)
-            )
-            for pid, is_core, is_border in zip(
-                pids, core_mask.tolist(), border_mask.tolist()
-            )
-        }
-        return Clustering(labels, categories)
+        raw = np.empty(len(slots), dtype=np.int64)
+        raw[core] = store.cid[slots[core]]
+        assert not np.any(raw[core] == NO_ID), "core without a cluster id"
+        anchors = store.anchor[slots[border]]
+        assert not np.any(anchors == NO_ID), "border without an anchor"
+        raw[border] = store.cid[store.slots_of(anchors.tolist())]
+        label = np.full(len(slots), Clustering.NOISE_ID, dtype=np.int64)
+        clustered = core | border
+        label[clustered] = self._roots(raw[clustered])
+        cat = np.full(len(slots), NOISE_CODE, dtype=np.int8)
+        cat[border] = BORDER_CODE
+        cat[core] = CORE_CODE
+        return Clustering.from_columns(pid, label, cat)

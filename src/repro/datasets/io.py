@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from repro.common.errors import ReproError
 from repro.common.points import StreamPoint
-from repro.common.snapshot import Clustering
+from repro.common.snapshot import CATEGORY_NAMES, Clustering
 
 
 class StreamFormatError(ReproError):
@@ -220,14 +220,6 @@ def write_labels(path: str, clustering: Clustering) -> int:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["pid", "label", "category"])
-        count = 0
-        for pid in sorted(clustering.categories):
-            writer.writerow(
-                [
-                    pid,
-                    clustering.label_of(pid),
-                    clustering.category_of(pid).value,
-                ]
-            )
-            count += 1
-    return count
+        names = CATEGORY_NAMES[clustering.cat].tolist()
+        writer.writerows(zip(clustering.pid.tolist(), clustering.label.tolist(), names))
+    return clustering.num_points

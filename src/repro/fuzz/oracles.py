@@ -43,7 +43,7 @@ from pathlib import Path
 from repro.baselines.dbscan import SlidingDBSCAN
 from repro.common.config import WindowSpec
 from repro.common.points import StreamPoint
-from repro.common.snapshot import Clustering
+from repro.common.snapshot import CATEGORY_NAMES, Clustering
 from repro.core.disc import DISC
 from repro.fuzz.scenarios import Scenario
 from repro.metrics.compare import EquivalenceError, assert_equivalent
@@ -88,18 +88,13 @@ def _spec(scenario: Scenario) -> WindowSpec:
 
 def _membership(clustering: Clustering) -> dict[int, tuple[int, str]]:
     """Canonical per-point view: pid -> (label, category), noise as -1."""
-    return {
-        pid: (clustering.label_of(pid), cat.value)
-        for pid, cat in clustering.categories.items()
-    }
+    names = CATEGORY_NAMES[clustering.cat].tolist()
+    return dict(zip(clustering.pid.tolist(), zip(clustering.label.tolist(), names)))
 
 
-def _canon(clustering: Clustering) -> tuple:
+def _canon(clustering: Clustering) -> tuple[bytes, ...]:
     """Exact (not just equivalent) form, for byte-identity checks."""
-    return (
-        tuple(sorted(clustering.labels.items())),
-        tuple(sorted((pid, cat.value) for pid, cat in clustering.categories.items())),
-    )
+    return tuple(c.tobytes() for c in (clustering.pid, clustering.label, clustering.cat))
 
 
 def _slide(coords: dict, delta_in, delta_out) -> None:
@@ -525,10 +520,11 @@ async def _serve_check(scenario: Scenario, backend: str) -> list[OracleFailure]:
 
 
 def _payload_membership(payload: dict) -> dict[int, tuple[int, str]]:
-    """AS_OF wire payload -> the canonical per-point map."""
+    """AS_OF wire payload -> the canonical per-point map (noise has no label)."""
+    labels = payload["labels"]
     return {
-        int(pid): (payload["labels"][pid], payload["categories"][pid])
-        for pid in payload["categories"]
+        int(pid): (labels.get(pid, Clustering.NOISE_ID), cat)
+        for pid, cat in payload["categories"].items()
     }
 
 

@@ -42,6 +42,7 @@ import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from repro.common.canonical import canonical_json
 from repro.common.errors import ReproError
 from repro.common.points import StreamPoint
 
@@ -310,16 +311,11 @@ def save_case(path: str | Path, scenario: Scenario, meta: dict | None = None) ->
     }
     if meta:
         header["meta"] = meta
-    lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
-    for point in scenario.points:
-        lines.append(
-            json.dumps(
-                {"pid": point.pid, "coords": list(point.coords), "time": point.time},
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-        )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [header] + [
+        {"pid": point.pid, "coords": list(point.coords), "time": point.time}
+        for point in scenario.points
+    ]
+    path.write_bytes(b"".join(canonical_json(row) + b"\n" for row in rows))
     return path
 
 

@@ -27,6 +27,7 @@ _BACKENDS = {
     "rtree": lambda eps: RTree(),
     "vectorgrid": VectorGridIndex,
 }
+_CLASSES = {LinearScanIndex: "linear", RTree: "rtree", VectorGridIndex: "vectorgrid"}
 
 
 def available_indexes() -> tuple[str, ...]:
@@ -41,6 +42,12 @@ def check_backend(name: object) -> None:
             f"unknown index backend {name!r}; "
             f"registered: {', '.join(available_indexes())}"
         )
+
+
+def backend_name(index: NeighborIndex) -> str | None:
+    """The name of the backend ``index`` is an instance of, or ``None``
+    when its class is no registered backend's (a subclass included)."""
+    return _CLASSES.get(type(index))
 
 
 def make_index(spec: str | NeighborIndex | None, *, eps: float) -> NeighborIndex:

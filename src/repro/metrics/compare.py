@@ -16,10 +16,12 @@ cores from two different clusters — the one genuinely ambiguous case.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.common.config import ClusteringParams
 from repro.common.distance import within_eps
 from repro.common.errors import ReproError
-from repro.common.snapshot import Category, Clustering
+from repro.common.snapshot import BORDER_CODE, CATEGORY_NAMES, CORE_CODE, Clustering
 
 Coords = tuple[float, ...]
 
@@ -42,30 +44,25 @@ def assert_equivalent(
             border assignments.
         params: the thresholds both clusterings were computed with.
     """
-    if set(a.categories) != set(b.categories):
-        only_a = set(a.categories) - set(b.categories)
-        only_b = set(b.categories) - set(a.categories)
+    if not np.array_equal(a.pid, b.pid):
         raise EquivalenceError(
-            f"point sets differ: only-in-a={sorted(only_a)[:5]}, "
-            f"only-in-b={sorted(only_b)[:5]}"
+            f"point sets differ: only-in-a={np.setdiff1d(a.pid, b.pid)[:5].tolist()}, "
+            f"only-in-b={np.setdiff1d(b.pid, a.pid)[:5].tolist()}"
         )
-
-    for pid, cat_a in a.categories.items():
-        cat_b = b.categories[pid]
-        if cat_a is not cat_b:
-            raise EquivalenceError(
-                f"category mismatch for {pid}: {cat_a.value} vs {cat_b.value}"
-            )
+    # The columns are pid-sorted, so equal pids align their rows.
+    for row in np.flatnonzero(a.cat != b.cat)[:1].tolist():
+        raise EquivalenceError(
+            f"category mismatch for {a.pid[row]}: "
+            f"{CATEGORY_NAMES[a.cat[row]]} vs {CATEGORY_NAMES[b.cat[row]]}"
+        )
 
     mapping = _match_core_partitions(a, b)
 
     # Border validity and correspondence.
-    cores_a = a.core_clusters()
-    for pid, cat in a.categories.items():
-        if cat is not Category.BORDER:
-            continue
-        cid_a = a.label_of(pid)
-        cid_b = b.label_of(pid)
+    border = a.cat == BORDER_CODE
+    for pid, cid_a, cid_b in zip(
+        a.pid[border].tolist(), a.label[border].tolist(), b.label[border].tolist()
+    ):
         nearby = _nearby_core_clusters(pid, a, points, params)
         if cid_a not in nearby:
             raise EquivalenceError(
@@ -86,7 +83,6 @@ def assert_equivalent(
                     f"border {pid} assigned by b to {cid_b}, not adjacent to "
                     f"any of its nearby clusters"
                 )
-    _ = cores_a  # partition equality already checked via the mapping
 
 
 def _match_core_partitions(a: Clustering, b: Clustering) -> dict[int, int]:
@@ -118,14 +114,13 @@ def _nearby_core_clusters(
     params: ClusteringParams,
 ) -> set[int]:
     """Clusters (by a-side id) having a core within eps of ``pid``."""
-    coords = points[pid]
-    nearby: set[int] = set()
-    for qid, category in clustering.categories.items():
-        if category is not Category.CORE or qid == pid:
-            continue
-        if within_eps(coords, points[qid], params.eps):
-            nearby.add(clustering.label_of(qid))
-    return nearby
+    core = clustering.cat == CORE_CODE
+    cores = zip(clustering.pid[core].tolist(), clustering.label[core].tolist())
+    return {
+        cid
+        for qid, cid in cores
+        if qid != pid and within_eps(points[pid], points[qid], params.eps)
+    }
 
 
 def equivalent(

@@ -3,10 +3,11 @@
 ``AS_OF(stride)`` needs the full membership at an arbitrary past stride,
 but the journal only stores deltas. The archive keeps *sparse full
 snapshots* every K strides — the same columnar-list + CRC-envelope shape
-as the checkpoint store's v3 payloads, restricted to the read-side columns
-(pid, label, category) — and answers any retained stride by loading the
-newest snapshot at or before it and replaying the journal deltas between
-them. Nothing here touches the live session: snapshots are written by the
+as the checkpoint store's v3 payloads, holding the stride's three result
+columns (categories by name) — and answers any retained stride by loading
+the newest snapshot at or before it and replaying the journal deltas
+between them, as ``Clustering.payload``, the function ``SNAPSHOT`` answers
+with. Nothing here touches the live session: snapshots are written by the
 session's single writer at the publish point, reads happen from files and
 the journal.
 
@@ -30,7 +31,9 @@ import re
 import zlib
 from pathlib import Path
 
+from repro.common.canonical import canonical_json
 from repro.common.errors import ReproError
+from repro.common.snapshot import CATEGORY_NAMES, Category, Clustering
 from repro.query.journal import EvolutionJournal, apply_record
 from repro.runtime.store import write_atomic
 
@@ -41,11 +44,6 @@ _NAME = re.compile(r"^snap-(\d{10})\.json$")
 
 class ArchiveError(ReproError):
     """A snapshot could not be written, loaded, or materialized."""
-
-
-def _canonical(payload: dict) -> bytes:
-    """Deterministic byte encoding of a payload, the CRC input."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 def stride_at_time(journal: EvolutionJournal, time: float) -> int | None:
@@ -100,28 +98,24 @@ class SnapshotArchive:
 
     # ---------------------------------------------------------------- writing
 
-    def maybe_snapshot(self, stride: int, clustering) -> bool:
+    def maybe_snapshot(self, stride: int, clustering: Clustering) -> bool:
         """Write a snapshot when ``stride`` is on the cadence grid."""
         if self.every <= 0 or stride % self.every != 0:
             return False
         self.snapshot(stride, clustering)
         return True
 
-    def snapshot(self, stride: int, clustering) -> Path:
+    def snapshot(self, stride: int, clustering: Clustering) -> Path:
         """Atomically persist the full membership at ``stride``."""
-        labels = clustering.labels
-        cats = clustering.categories
-        pids = sorted(cats)
         payload = {
-            "pid": pids,
-            "label": [labels.get(pid, clustering.NOISE_ID) for pid in pids],
-            "cat": [cats[pid].value for pid in pids],
+            "pid": clustering.pid.tolist(),
+            "label": clustering.label.tolist(),
+            "cat": CATEGORY_NAMES[clustering.cat].tolist(),
         }
-        body = _canonical(payload)
         envelope = {
             "format": ARCHIVE_FORMAT,
             "stride": int(stride),
-            "crc32": zlib.crc32(body),
+            "crc32": zlib.crc32(canonical_json(payload)),
             "payload": payload,
         }
         final = self.directory / f"snap-{stride:010d}.json"
@@ -158,7 +152,7 @@ class SnapshotArchive:
             raise ArchiveError(f"unreadable snapshot {path.name}: {exc}") from exc
         try:
             payload = envelope["payload"]
-            if zlib.crc32(_canonical(payload)) != envelope["crc32"]:
+            if zlib.crc32(canonical_json(payload)) != envelope["crc32"]:
                 raise ArchiveError(f"snapshot {path.name} failed its CRC check")
             return {
                 int(pid): [label, cat]
@@ -202,8 +196,8 @@ class SnapshotArchive:
     def as_of(
         self, stride: int | None = None, time: float | None = None
     ) -> dict:
-        """The ``QUERY {as_of}`` answer: full membership payload at a past
-        stride (or at the stride live when ``time`` passed)."""
+        """The ``QUERY {as_of}`` answer at a past stride (or at the stride
+        live when ``time`` passed): what ``SNAPSHOT`` answered then."""
         if (stride is None) == (time is None):
             raise ArchiveError("as_of needs exactly one of stride or time")
         if stride is None:
@@ -213,19 +207,8 @@ class SnapshotArchive:
             if stride is None:
                 raise ArchiveError(f"no retained stride at or before time {time}")
         state = self.materialize(stride)
-        labels = {}
-        categories = {}
-        clusters = set()
-        for pid in sorted(state):
-            label, cat = state[pid]
-            labels[str(pid)] = label
-            categories[str(pid)] = cat
-            if cat == "core":
-                clusters.add(label)
-        return {
-            "stride": stride,
-            "num_points": len(state),
-            "num_clusters": len(clusters),
-            "labels": labels,
-            "categories": categories,
-        }
+        clustering = Clustering(
+            {pid: label for pid, (label, _) in state.items()},
+            {pid: Category(cat) for pid, (_, cat) in state.items()},
+        )
+        return {"stride": stride, **clustering.payload()}

@@ -41,9 +41,12 @@ import json
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
+from repro.common.canonical import canonical_json
 from repro.common.counters import CounterGroup
 from repro.common.limits import MAX_JOURNAL_RECORD_BYTES
-from repro.common.snapshot import Clustering
+from repro.common.snapshot import CATEGORY_NAMES, Clustering
 from repro.core.events import StrideSummary
 from repro.runtime.wal import SegmentedLog, WalError
 
@@ -92,23 +95,20 @@ def stride_record(
     Pure and deterministic: every consumer (the live push path, a journal
     replay, an offline ``cluster_stream`` run) calls this with the same
     inputs and gets the same record. ``prev=None`` means the empty window
-    (stride 0, or the base of a fresh materialization).
+    (stride 0, or the base of a fresh materialization). The delta is a
+    merge of the two results' pid-sorted columns.
     """
-    prev_cats = {} if prev is None else prev.categories
-    prev_labels = {} if prev is None else prev.labels
-    cats = clustering.categories
-    labels = clustering.labels
-    add: dict[str, list] = {}
-    change: dict[str, list] = {}
-    for pid in sorted(cats):
-        label = labels.get(pid, Clustering.NOISE_ID)
-        cat = cats[pid].value
-        if pid not in prev_cats:
-            add[str(pid)] = [label, cat]
-        elif prev_labels.get(pid, Clustering.NOISE_ID) != label or (
-            prev_cats[pid].value != cat
-        ):
-            change[str(pid)] = [label, cat]
+    prev = Clustering({}, {}) if prev is None else prev
+    pid = clustering.pid
+    # Row in ``prev`` of every current pid, and whether the pid is there.
+    at = np.searchsorted(prev.pid, pid)
+    kept = at < len(prev.pid)
+    kept[kept] = prev.pid[at[kept]] == pid[kept]
+    before = at[kept]
+    changed = kept.copy()
+    changed[kept] = (prev.label[before] != clustering.label[kept]) | (
+        prev.cat[before] != clustering.cat[kept]
+    )
     return {
         "stride": stride,
         "time": time,
@@ -123,15 +123,22 @@ def stride_record(
             "deleted": summary.num_deleted,
         },
         "clusters": clustering.num_clusters,
-        "add": add,
-        "expire": sorted(pid for pid in prev_cats if pid not in cats),
-        "change": change,
+        "add": _entries(clustering, ~kept),
+        "expire": np.delete(prev.pid, before).tolist(),
+        "change": _entries(clustering, changed),
     }
+
+
+def _entries(c: Clustering, rows: np.ndarray) -> dict[str, list]:
+    """``{pid: [label, category]}`` of the selected rows, in pid order."""
+    names = CATEGORY_NAMES[c.cat[rows]].tolist()
+    entries = zip(c.pid[rows].tolist(), c.label[rows].tolist(), names)
+    return {str(pid): [label, name] for pid, label, name in entries}
 
 
 def encode_record(record: dict) -> bytes:
     """Canonical bytes of one record (sorted keys, compact separators)."""
-    return json.dumps(record, separators=(",", ":"), sort_keys=True).encode("utf-8")
+    return canonical_json(record)
 
 
 def apply_record(state: dict[int, list], record: dict) -> None:

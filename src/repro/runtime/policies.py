@@ -28,6 +28,7 @@ import zlib
 from collections.abc import Iterable, Iterator
 from enum import Enum
 
+from repro.common.canonical import canonical_json
 from repro.common.errors import ReproError, StreamOrderError
 from repro.common.points import StreamPoint
 from repro.datasets.io import MalformedRecord
@@ -123,8 +124,7 @@ class DeadLetterSink:
 
 def _canonical_row(row: dict) -> bytes:
     """CRC input: the row without its ``crc32`` field, canonically encoded."""
-    body = {key: value for key, value in row.items() if key != "crc32"}
-    return json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return canonical_json({key: value for key, value in row.items() if key != "crc32"})
 
 
 def read_dead_letters(path: str | os.PathLike) -> list[dict]:

@@ -31,23 +31,12 @@ import re
 import zlib
 from pathlib import Path
 
+from repro.common.canonical import canonical_json
 from repro.core.checkpoint import CheckpointError
 
 STORE_FORMAT = 1
 
 _NAME = re.compile(r"^checkpoint-(\d{10})\.json$")
-
-
-def _canonical(payload: dict) -> bytes:
-    """Deterministic byte encoding of a payload, the CRC input.
-
-    ``json.dumps`` with sorted keys and fixed separators is stable across
-    dump/parse round-trips (Python floats serialize to their shortest
-    round-trip repr), so the CRC can be recomputed from a parsed envelope.
-    """
-    return json.dumps(
-        payload, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
 
 
 def write_atomic(path: Path, data: bytes) -> None:
@@ -118,7 +107,7 @@ class CheckpointStore:
         Returns the final file path. The write is atomic: a crash at any
         moment leaves either no new file or a complete, CRC-valid one.
         """
-        body = _canonical(payload)
+        body = canonical_json(payload)
         envelope = {
             "format": STORE_FORMAT,
             "stride": int(stride),
@@ -183,7 +172,7 @@ class CheckpointStore:
         payload = envelope["payload"]
         if not isinstance(payload, dict):
             raise CheckpointError(f"checkpoint {path}: payload is not an object")
-        crc = zlib.crc32(_canonical(payload))
+        crc = zlib.crc32(canonical_json(payload))
         if crc != envelope["crc32"]:
             raise CheckpointError(
                 f"checkpoint {path} failed its integrity check "

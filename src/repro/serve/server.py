@@ -22,6 +22,7 @@ import sys
 
 from repro._version import __version__
 from repro.common.errors import ReproError
+from repro.common.snapshot import Clustering
 from repro.serve import protocol
 from repro.serve.config import SessionConfig
 from repro.serve.protocol import ProtocolError, ServeError
@@ -125,11 +126,13 @@ async def _dispatch_op(
             payload = session.as_of(stride=stride, time=time)
             if pid is not None:
                 key = str(pid)
+                present = key in payload["categories"]
+                labels = payload["labels"]  # noise has none
                 payload = {
                     "stride": payload["stride"],
                     "pid": pid,
-                    "present": key in payload["categories"],
-                    "label": payload["labels"].get(key),
+                    "present": present,
+                    "label": labels.get(key, Clustering.NOISE_ID) if present else None,
                     "category": payload["categories"].get(key),
                 }
             return protocol.ok_response(op, rid, session=session.name, **payload)

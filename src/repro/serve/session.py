@@ -29,8 +29,7 @@ from repro.common.config import WindowSpec
 from repro.common.distance import dists_to_many, eps_sq_bound, within_eps
 from repro.common.errors import ConfigurationError, ReproError
 from repro.common.points import StreamPoint
-from repro.common.snapshot import Category, Clustering
-from repro.core.store import NO_ID
+from repro.common.snapshot import CORE_CODE, Clustering
 from repro.datasets.io import MalformedRecord
 from repro.query.archive import ArchiveError, SnapshotArchive
 from repro.query.journal import EvolutionJournal, stride_record
@@ -164,16 +163,14 @@ class SessionView:
 
     @classmethod
     def from_state(cls, stride: int, clustering: Clustering, state) -> "SessionView":
-        """The view of ``clustering`` with its core columns copied (never
-        aliased) out of the quiescent window ``state`` it was taken from."""
-        arena = state.store
-        slots = arena.live_slots()
-        mask = (arena.n_eps[slots] >= state.params.tau) & (arena.cid[slots] != NO_ID)
-        core_slots = slots[mask]
-        pids = arena.pid[core_slots]
-        labels = [clustering.label_of(pid) for pid in pids.tolist()]
-        columns = (pids, arena.coords[core_slots], np.array(labels, dtype=np.int64))
-        return cls(stride, clustering, state.params.eps, *columns)
+        """The view of ``clustering``: its core rows sliced from its columns,
+        their coordinates copied (never aliased) out of the quiescent window
+        ``state`` it was taken from."""
+        core = clustering.cat == CORE_CODE
+        pids = clustering.pid[core]
+        coords = state.store.coords[state.store.slots_of(pids.tolist())]
+        labels = clustering.label[core]
+        return cls(stride, clustering, state.params.eps, pids, coords, labels)
 
     def membership(self, pid: int) -> dict:
         """Label + category of a tracked point (noise when unknown)."""
@@ -182,7 +179,7 @@ class SessionView:
             "stride": self.stride,
             "label": self.clustering.label_of(pid),
             "category": self.clustering.category_of(pid).value,
-            "tracked": pid in self.clustering.categories,
+            "tracked": pid in self.clustering,
         }
 
     def classify(self, coords: tuple[float, ...]) -> dict:
@@ -227,16 +224,7 @@ class SessionView:
 
     def snapshot_payload(self) -> dict:
         """The full-snapshot wire form (labels, categories, counts)."""
-        clustering = self.clustering
-        return {
-            "stride": self.stride,
-            "num_points": clustering.num_points,
-            "num_clusters": clustering.num_clusters,
-            "labels": {str(pid): cid for pid, cid in clustering.labels.items()},
-            "categories": {
-                str(pid): cat.value for pid, cat in clustering.categories.items()
-            },
-        }
+        return {"stride": self.stride, **self.clustering.payload()}
 
 
 class TenantSession:

@@ -417,9 +417,7 @@ class ShardedClusterService:
                     f"(exit {worker.proc.returncode})"
                 )
             try:
-                reader, writer = await asyncio.open_unix_connection(
-                    worker.socket_path
-                )
+                _, writer = await self.connect(worker)
             except OSError:
                 await asyncio.sleep(0.05)
                 continue
@@ -434,12 +432,19 @@ class ShardedClusterService:
     async def connect(
         self, worker: ShardWorker
     ) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-        """One fresh upstream connection to a worker (router/tests)."""
+        """One fresh upstream connection to a worker (router, STATS, readiness).
+
+        A dead worker refuses connections, so the first one that succeeds
+        ends a ``restarting`` mark (never ``circuit-open``).
+        """
         from repro.serve.server import _STREAM_LIMIT
 
-        return await asyncio.open_unix_connection(
+        conn = await asyncio.open_unix_connection(
             worker.socket_path, limit=_STREAM_LIMIT
         )
+        if worker.degraded == "restarting":
+            worker.degraded = None
+        return conn
 
     async def stop(self) -> None:
         """Graceful shutdown: SIGTERM every worker, await their drains."""
@@ -513,7 +518,6 @@ class ShardedClusterService:
                 await self._wait_ready(worker)
             except RuntimeError:
                 continue  # died again during startup; loop charges the budget
-            worker.degraded = None
             worker.healthy_since = time.monotonic()
 
     # ----------------------------------------------------------------- stats

@@ -14,7 +14,8 @@ from repro.core.checkpoint import (
     to_checkpoint,
 )
 from repro.core.disc import DISC
-from repro.index.registry import available_indexes
+from repro.index import GridIndex
+from repro.index.registry import available_indexes, make_index
 from repro.metrics.compare import assert_equivalent
 from repro.window.sliding import materialize_slides
 from tests.conftest import clustered_stream
@@ -149,6 +150,24 @@ class TestBackendRestore:
         run_slides(disc, slides[6:])
         run_slides(restored, slides[6:])
         assert restored.labels() == disc.labels()
+
+    @pytest.mark.parametrize("index", ["linear", "vectorgrid"])
+    def test_index_instance_checkpoints_its_backend_name(self, index):
+        """A DISC handed a registered backend's instance restores on it."""
+        disc = DISC(0.7, 4, index=make_index(index, eps=0.7))
+        disc.advance(clustered_stream(8, 120), ())
+        payload = to_checkpoint(disc)
+        assert payload["index"] == index
+        restored = from_checkpoint(payload)
+        assert type(restored.index) is type(disc.index)
+        assert restored.labels() == disc.labels()
+
+    def test_unregistered_index_instance_is_a_checkpoint_error(self):
+        """No backend name restores a ``GridIndex``: refuse, by class."""
+        disc = DISC(0.7, 4, index=GridIndex(0.7))
+        disc.advance(clustered_stream(8, 120), ())
+        with pytest.raises(CheckpointError, match="GridIndex"):
+            to_checkpoint(disc)
 
     def test_unknown_backend_is_a_checkpoint_error(self):
         """A backend this build lacks (``grid`` left the registry)."""

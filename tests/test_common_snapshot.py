@@ -6,7 +6,7 @@ import pytest
 
 from repro.common.distance import dists_to_many, within_eps
 from repro.common.points import StreamPoint, make_points
-from repro.common.snapshot import Category, Clustering
+from repro.common.snapshot import CATEGORIES, Category, Clustering
 
 
 class TestDistance:
@@ -99,3 +99,49 @@ class TestClustering:
         text = repr(sample_clustering())
         assert "clusters=2" in text
         assert "points=6" in text
+
+
+class TestColumns:
+    def test_sorted_read_only_columns(self):
+        snap = sample_clustering()
+        assert snap.pid.tolist() == [1, 2, 3, 4, 5, 6]
+        assert snap.label.tolist() == [100, 100, 200, 200, 200, Clustering.NOISE_ID]
+        assert [CATEGORIES[c] for c in snap.cat.tolist()] == [
+            Category.CORE,
+            Category.BORDER,
+            Category.CORE,
+            Category.CORE,
+            Category.BORDER,
+            Category.NOISE,
+        ]
+        for column in (snap.pid, snap.label, snap.cat):
+            assert not column.flags.writeable
+
+    def test_membership_of_unknown_and_out_of_range_pids(self):
+        snap = sample_clustering()
+        assert 6 in snap and 7 not in snap
+        for pid in (0, 7, -(2**70), 2**70):
+            assert snap.label_of(pid) == Clustering.NOISE_ID
+            assert snap.category_of(pid) is Category.NOISE
+
+    def test_payload_omits_noise_and_lists_cores_first(self):
+        payload = sample_clustering().payload()
+        assert list(payload["labels"].items()) == [
+            ("1", 100), ("3", 200), ("4", 200), ("2", 100), ("5", 200)
+        ]
+        assert list(payload["categories"]) == ["1", "2", "3", "4", "5", "6"]
+        assert payload["num_points"] == 6 and payload["num_clusters"] == 2
+
+    def test_disc_snapshot_does_not_alias_the_arena(self):
+        from repro.core.disc import DISC
+
+        disc = DISC(1.0, 3)
+        points = [StreamPoint(9 - i, (0.1 * i, 0.0), 0.0) for i in range(8)]
+        disc.advance(points, ())
+        snap = disc.snapshot()
+        assert snap.pid.tolist() == list(range(2, 10))
+        assert snap.count(Category.CORE) == 8
+        before = snap.encode()
+        disc.advance([StreamPoint(20, (50.0, 0.0), 1.0)], points[:4])
+        assert snap.encode() == before
+        assert disc.snapshot().pid.tolist() == [2, 3, 4, 5, 20]

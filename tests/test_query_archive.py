@@ -124,8 +124,11 @@ class TestAsOf:
         payload = archive.as_of(stride=5)
         assert payload["stride"] == 5
         assert payload["num_points"] == len(states[5])
+        # Noise carries no label, as in SNAPSHOT.
         assert payload["labels"] == {
-            str(pid): lab for pid, (lab, _) in states[5].items()
+            str(pid): lab
+            for pid, (lab, _) in states[5].items()
+            if lab != Clustering.NOISE_ID
         }
         assert payload["categories"] == {
             str(pid): cat for pid, (_, cat) in states[5].items()

@@ -2,8 +2,9 @@
 
 These tests prove the property the runtime package exists for — a
 supervised run killed at *any* stride boundary and resumed from its store
-produces a final snapshot byte-identical (via the sorted-keys JSON
-serialization) to an uninterrupted run, on every registered index backend.
+produces a final snapshot byte-identical (via the result's canonical
+encoding, ``Clustering.encode``) to an uninterrupted run, on every
+registered index backend.
 """
 
 import logging
@@ -12,7 +13,6 @@ import pytest
 
 from repro.common.config import WindowSpec
 from repro.common.errors import IndexError_
-from repro.common.serialize import dumps
 from repro.core.checkpoint import CheckpointError
 from repro.core.checkpoint import dumps as disc_dumps
 from repro.core.checkpoint import loads as disc_loads
@@ -69,7 +69,7 @@ class TestKillAnywhereResumeIdentical:
         points = DATASETS[dataset]()
         reference = run_to_end(Supervisor(EPS, TAU, SPEC, index=index), points)
         assert reference is not None
-        expected = dumps(reference)
+        expected = reference.encode()
         n_strides = sum(1 for _ in Supervisor(EPS, TAU, SPEC, index=index).run(points))
 
         for kill_at in range(n_strides):
@@ -90,7 +90,7 @@ class TestKillAnywhereResumeIdentical:
                 EPS, TAU, SPEC, store=str(store_dir), checkpoint_every=1, index=index
             )
             final = run_to_end(resumed, points, resume="auto")
-            assert dumps(final) == expected, (
+            assert final.encode() == expected, (
                 f"kill at stride {kill_at} on {index}/{dataset} diverged"
             )
             if kill_at > 0:
@@ -103,7 +103,7 @@ class TestChaosVariants:
     def test_kill_after_checkpoint_is_recoverable(self, tmp_path):
         """The worst case: state persisted, progress lost right after."""
         points = clustered_stream(13, 220)
-        expected = dumps(run_to_end(Supervisor(EPS, TAU, SPEC), points))
+        expected = run_to_end(Supervisor(EPS, TAU, SPEC), points).encode()
 
         store_dir = str(tmp_path / "ck")
         killed = Supervisor(
@@ -118,12 +118,12 @@ class TestChaosVariants:
             run_to_end(killed, points)
 
         resumed = Supervisor(EPS, TAU, SPEC, store=store_dir, checkpoint_every=2)
-        assert dumps(run_to_end(resumed, points, resume=True)) == expected
+        assert run_to_end(resumed, points, resume=True).encode() == expected
 
     def test_repeated_kills_then_final_resume(self, tmp_path):
         """Crash-loop drill: die at stride 1, 2, 3, ... then finish clean."""
         points = clustered_stream(14, 200)
-        expected = dumps(run_to_end(Supervisor(EPS, TAU, SPEC), points))
+        expected = run_to_end(Supervisor(EPS, TAU, SPEC), points).encode()
         store_dir = str(tmp_path / "ck")
         for kill_at in (1, 2, 3, 4):
             supervisor = Supervisor(
@@ -137,7 +137,7 @@ class TestChaosVariants:
             with pytest.raises(ChaosKill):
                 run_to_end(supervisor, points, resume="auto")
         survivor = Supervisor(EPS, TAU, SPEC, store=store_dir, checkpoint_every=1)
-        assert dumps(run_to_end(survivor, points, resume=True)) == expected
+        assert run_to_end(survivor, points, resume=True).encode() == expected
 
     def test_resume_true_requires_a_checkpoint(self, tmp_path):
         supervisor = Supervisor(EPS, TAU, SPEC, store=str(tmp_path / "empty"))
@@ -146,9 +146,9 @@ class TestChaosVariants:
 
     def test_resume_auto_starts_fresh_without_checkpoint(self, tmp_path):
         points = clustered_stream(15, 120)
-        expected = dumps(run_to_end(Supervisor(EPS, TAU, SPEC), points))
+        expected = run_to_end(Supervisor(EPS, TAU, SPEC), points).encode()
         supervisor = Supervisor(EPS, TAU, SPEC, store=str(tmp_path / "empty"))
-        assert dumps(run_to_end(supervisor, points, resume="auto")) == expected
+        assert run_to_end(supervisor, points, resume="auto").encode() == expected
         assert supervisor.stats.resumes == 0
 
 
@@ -200,13 +200,13 @@ class TestCorruptedCheckpoints:
     def test_operator_deletes_bad_checkpoint_then_resumes(self, tmp_path):
         """The documented remediation: remove the bad file, resume older."""
         points = clustered_stream(17, 200)
-        expected = dumps(run_to_end(Supervisor(EPS, TAU, SPEC), points))
+        expected = run_to_end(Supervisor(EPS, TAU, SPEC), points).encode()
         store = self._store_with_checkpoints(tmp_path, points)
         bad = store.checkpoints()[-1]
         corrupt_checkpoint(bad)
         bad.unlink()
         supervisor = Supervisor(EPS, TAU, SPEC, store=store, checkpoint_every=1)
-        assert dumps(run_to_end(supervisor, points, resume=True)) == expected
+        assert run_to_end(supervisor, points, resume=True).encode() == expected
 
 
 @pytest.mark.chaos

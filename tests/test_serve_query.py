@@ -337,7 +337,12 @@ class TestAsOf:
         )
         states = offline_states(points)
         for s, payload in answers.items():
-            expected_labels = {str(pid): lab for pid, (lab, _) in states[s].items()}
+            # Noise carries no label, as in SNAPSHOT.
+            expected_labels = {
+                str(pid): lab
+                for pid, (lab, _) in states[s].items()
+                if lab != Clustering.NOISE_ID
+            }
             expected_cats = {str(pid): cat for pid, (_, cat) in states[s].items()}
             assert payload["stride"] == s
             assert payload["labels"] == expected_labels, f"stride {s}"
@@ -368,9 +373,52 @@ class TestAsOf:
         assert by_time["stride"] == 2
         assert projected["stride"] == 2
         assert projected["present"] is True
-        assert projected["label"] == full["labels"][str(pid)]
+        assert projected["label"] == full["labels"].get(
+            str(pid), Clustering.NOISE_ID
+        )
         assert projected["category"] == full["categories"][str(pid)]
         assert missing["present"] is False and missing["label"] is None
+
+    def test_as_of_equals_the_snapshot_taken_live(self, tmp_path):
+        """AS_OF(S) answers what SNAPSHOT answered while S was live."""
+        points = clustered_stream(60, 300)
+        config = journal_config(archive_every=4)
+        fields = ("stride", "num_points", "num_clusters", "labels", "categories")
+
+        async def scenario(port):
+            async with await ServeClient.connect("127.0.0.1", port) as client:
+                await client.open_session("t1", config)
+                live = {}
+                for i in range(0, len(points), STRIDE):
+                    await client.ingest("t1", points[i : i + STRIDE])
+                    await client.events("t1", cursor=0)  # let the writer run
+                    snap = await client.snapshot("t1")
+                    if snap["stride"] >= 0:
+                        live[snap["stride"]] = {f: snap[f] for f in fields}
+                await client.drain("t1", flush_tail=True)
+                past = {}
+                for s in live:
+                    reply = await client.query_as_of("t1", stride=s)
+                    past[s] = {f: reply[f] for f in fields}
+                noise = next(
+                    pid
+                    for pid, cat in reply["categories"].items()
+                    if cat == "noise"
+                )
+                projected = await client.query_as_of(
+                    "t1", stride=max(live), pid=int(noise)
+                )
+                return live, past, projected
+
+        live, past, projected = serve_scenario(
+            scenario, service=ClusterService(data_dir=tmp_path)
+        )
+        assert len(live) >= 5
+        for s in live:
+            assert past[s] == live[s], f"stride {s}"
+        assert projected["present"] is True
+        assert projected["label"] == Clustering.NOISE_ID
+        assert projected["category"] == "noise"
 
     def test_as_of_ahead_of_head_is_bad_request(self, tmp_path):
         points = clustered_stream(59, 240)

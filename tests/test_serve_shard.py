@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import os
+import shutil
 import signal
 import time
 from collections import Counter
@@ -200,6 +201,69 @@ async def _wait_stride(conn, tenant: str, stride: int, timeout: float = 20.0):
 
 
 @pytest.mark.chaos
+class _LiveProc:
+    """Stands in for a running worker process."""
+
+    pid = os.getpid()
+    returncode = None
+
+    def poll(self):
+        return None
+
+
+async def _with_stub_worker(degraded: str, body):
+    """Run ``body(service, worker)`` against a one-shard service whose
+    worker is a unix-socket stub that answers every frame with a STATS
+    reply, with the worker marked ``degraded``."""
+
+    async def answer(reader, writer):
+        while await reader.readline():
+            writer.write(protocol.encode_frame({"ok": True, "sessions": []}))
+            await writer.drain()
+        writer.close()
+
+    service = ShardedClusterService(1)
+    worker = service.workers[0]
+    worker.proc = _LiveProc()
+    worker.degraded = degraded
+    server = await asyncio.start_unix_server(answer, path=worker.socket_path)
+    try:
+        return await body(service, worker)
+    finally:
+        server.close()
+        await server.wait_closed()
+        shutil.rmtree(service.socket_dir, ignore_errors=True)
+
+
+class TestRestartMark:
+    """A respawned worker that serves is no longer ``restarting``."""
+
+    def test_router_connection_clears_restarting(self):
+        async def body(service, worker):
+            _, writer = await service.connect(worker)
+            writer.close()
+            return worker.degraded
+
+        assert asyncio.run(_with_stub_worker("restarting", body)) is None
+
+    def test_stats_connection_clears_restarting(self):
+        async def body(service, worker):
+            return await service.stats()
+
+        stats = asyncio.run(_with_stub_worker("restarting", body))
+        assert stats["degraded"] == {}
+        assert stats["shard_detail"][0]["degraded"] is None
+
+    def test_circuit_open_is_never_cleared(self):
+        async def body(service, worker):
+            _, writer = await service.connect(worker)
+            writer.close()
+            return (await service.stats())["degraded"]
+
+        degraded = asyncio.run(_with_stub_worker("circuit-open", body))
+        assert degraded == {"shard-0": "circuit-open"}
+
+
 class TestProtocolEquivalence:
     def test_sharded_answers_byte_identical_to_single_process(self, tmp_path):
         """Per stride, per tenant: the raw QUERY and SNAPSHOT reply lines of

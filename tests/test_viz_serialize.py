@@ -1,15 +1,8 @@
-"""Unit tests for terminal visualization and snapshot serialization."""
+"""Unit tests for terminal visualization and the result's wire form."""
 
-import pytest
+import json
 
 from repro.common.points import StreamPoint
-from repro.common.serialize import (
-    SerializationError,
-    clustering_from_dict,
-    clustering_to_dict,
-    dumps,
-    loads,
-)
 from repro.common.snapshot import Category, Clustering
 from repro.core.disc import DISC
 from repro.viz import NOISE_GLYPH, render_clustering, render_comparison
@@ -79,35 +72,26 @@ class TestRenderClustering:
 
 
 class TestSerialization:
+    """The result's one wire form, ``Clustering.payload``, and its encoding."""
+
     def test_roundtrip(self):
         snapshot, _ = make_snapshot()
-        restored = loads(dumps(snapshot))
+        restored = Clustering(snapshot.labels, snapshot.categories)
         assert restored.labels == snapshot.labels
         assert restored.categories == snapshot.categories
+        assert restored.encode() == snapshot.encode()
 
     def test_dict_roundtrip(self):
         snapshot, _ = make_snapshot()
-        restored = clustering_from_dict(clustering_to_dict(snapshot))
+        payload = snapshot.payload()
+        restored = Clustering(
+            {int(pid): cid for pid, cid in payload["labels"].items()},
+            {int(pid): Category(cat) for pid, cat in payload["categories"].items()},
+        )
         assert restored.core_clusters() == snapshot.core_clusters()
-
-    def test_bad_version(self):
-        with pytest.raises(SerializationError):
-            clustering_from_dict({"version": 99, "labels": {}, "categories": {}})
-
-    def test_missing_fields(self):
-        with pytest.raises(SerializationError):
-            clustering_from_dict({"version": 1})
-
-    def test_bad_category_value(self):
-        with pytest.raises(SerializationError):
-            clustering_from_dict(
-                {"version": 1, "labels": {}, "categories": {"1": "wat"}}
-            )
-
-    def test_invalid_json(self):
-        with pytest.raises(SerializationError):
-            loads("{not json")
+        assert restored.payload() == payload
 
     def test_stable_output(self):
         snapshot, _ = make_snapshot()
-        assert dumps(snapshot) == dumps(snapshot)
+        assert snapshot.encode() == snapshot.encode()
+        assert json.loads(snapshot.encode()) == snapshot.payload()
