@@ -7,9 +7,12 @@ connectivity check decides split / shrink / dissipate for the whole class
 whose ``M^+`` label multiset decides merge / expand / emerge — no
 connectivity check needed, just label inspection.
 
-Every ex-core and every neo-core is range-searched exactly once across the
-whole step; those searches double as the maintenance pass for the border
-bookkeeping (``c_core`` and anchors, Section V of the paper).
+Every ex-core and every neo-core is scanned exactly once across the whole
+step; those scans double as the maintenance pass for the border bookkeeping
+(``c_core`` and anchors, Section V of the paper). A scan reads a range
+search of its own, except for the departing ex-cores and the arriving
+neo-cores, whose balls COLLECT has already searched
+(:attr:`~repro.core.collect.CollectResult.balls`).
 
 Each range search result is processed as masked column operations over the
 ball's slot array in the :class:`~repro.core.store.PointStore` instead of
@@ -18,11 +21,11 @@ untouched. Because every ex-core and neo-core is scanned exactly once per
 phase, and the quantities that classify a neighbour (index membership, the
 ``DELETED``/``WAS_CORE`` flags and ``n_eps``) are all static within a phase
 — the BFS only mutates ``c_core``, anchors and cluster ids — each phase
-prefetches *all* of its scan balls with one batched ``ball_many_pids`` call
-and gathers their classification masks in one shot (:func:`_scan_plan`). All
-order-sensitive iteration (class seeds, claim settlement, bonding-root
-unions, repair scans) runs in sorted order, so cluster-id assignment never
-depends on set-iteration internals.
+prefetches every scan ball it was not handed with one batched
+``ball_many_pids`` call and gathers the classification masks of all of them
+in one shot (:func:`_scan_plan`). All order-sensitive iteration (class
+seeds, claim settlement, bonding-root unions, repair scans) runs in sorted
+order, so cluster-id assignment never depends on set-iteration internals.
 """
 
 from __future__ import annotations
@@ -53,27 +56,43 @@ def _make_on_border(state: WindowState):
     return on_border
 
 
-def _scan_plan(store, index, pids, eps: float, tau: int) -> dict:
+def _scan_plan(
+    store, index, pids, known: dict, eps: float, tau: int, trace
+) -> dict:
     """Prefetch the scan balls of one CLUSTER phase in a single batched call.
 
-    Maps each pid to ``(qids, slots, deleted, was_core, core_now)`` — the
-    ball with the center filtered out, its slot array, and the three static
-    classification masks. Sound because within one phase the index
-    membership, the ``DELETED``/``WAS_CORE`` flags and ``n_eps`` never
-    change (the BFS mutates only ``c_core``, anchors and cluster ids), and
-    every member of ``pids`` is range-searched exactly once by the
-    sequential loop — so one ``ball_many_pids`` over the deduplicated set
-    leaves the index-stats ledger identical to per-pop :meth:`ball` calls.
+    Maps each pid to its ball with the center filtered out, the ball's slot
+    array, and the static classification masks (see :func:`_plan_entries`).
+    A pid in ``known`` (COLLECT's balls, centre excluded) takes its ball
+    from there, popping it; only the other pids are searched, in one
+    ``ball_many_pids`` call. A handed-over ball may hold rows that are
+    ``DELETED`` by now, which every scan mask drops. Sound because within
+    one phase the index membership, the ``DELETED``/``WAS_CORE`` flags and
+    ``n_eps`` never change (the BFS mutates only ``c_core``, anchors and
+    cluster ids), and every member of ``pids`` is scanned exactly once by
+    the sequential loop — so one ``ball_many_pids`` over the deduplicated
+    set leaves the index-stats ledger identical to per-pop :meth:`ball`
+    calls.
     """
     order = sorted(set(pids))
     if not order:
         return {}
-    centers = store.coords[store.slots_of(order)].tolist()
-    balls = index.ball_many_pids(centers, eps)
+    missing = [pid for pid in order if pid not in known]
+    searched = iter(
+        index.ball_many_pids(store.coords[store.slots_of(missing)].tolist(), eps)
+        if missing
+        else ()
+    )
+    if trace is not None:
+        trace.counters.reused_balls += len(order) - len(missing)
     spans: list[tuple[int, list[int], int]] = []
     flat: list[int] = []
-    for pid, ball in zip(order, balls):
-        qids = ball[ball != pid].tolist()
+    for pid in order:
+        ball = known.pop(pid, None)
+        if ball is None:
+            ball = next(searched)
+            ball = ball[ball != pid]
+        qids = ball.tolist()
         spans.append((pid, qids, len(flat)))
         flat.extend(qids)
     flat_slots = store.slots_of(flat) if flat else np.empty(0, dtype=np.int64)
@@ -146,6 +165,7 @@ def process_ex_cores(
     state: WindowState,
     index,
     ex_cores: list[int],
+    balls: dict,
     *,
     multi_starter: bool = True,
     epoch_probing: bool = True,
@@ -153,6 +173,8 @@ def process_ex_cores(
 ) -> list[EvolutionEvent]:
     """Handle cluster evolution caused by ex-cores (Algorithm 2, lines 1-7).
 
+    ``balls`` is COLLECT's :attr:`~repro.core.collect.CollectResult.balls`;
+    the departing ex-cores' scans read theirs from it instead of searching.
     Returns one event per retro-reachability class. When ``trace`` (a
     :class:`~repro.observability.trace.StrideTrace`) is given, it accumulates
     the retro-class count, the Theorem-1 savings (ex-cores consolidated into
@@ -177,7 +199,7 @@ def process_ex_cores(
     # check over the claimants.
     kept: dict[int, list[int]] = {}
     split_claimed: set[int] = set()
-    plan = _scan_plan(store, index, ex_cores, eps, tau)
+    plan = _scan_plan(store, index, ex_cores, balls, eps, tau, trace)
 
     for seed, remaining in _ordered_classes(ex_cores):
         # Breadth-first enumeration of the retro-reachability class R^-(seed);
@@ -456,10 +478,12 @@ def _resolve_ex_class(
 
 
 def process_neo_cores(
-    state: WindowState, index, neo_cores: list[int], *, trace=None
+    state: WindowState, index, neo_cores: list[int], balls: dict, *, trace=None
 ) -> list[EvolutionEvent]:
     """Handle cluster evolution caused by neo-cores (Algorithm 2, lines 9-13).
 
+    ``balls`` is COLLECT's :attr:`~repro.core.collect.CollectResult.balls`;
+    the arriving neo-cores' scans read theirs from it instead of searching.
     Returns one event per nascent-reachability class. Unlike ex-cores, no
     connectivity check is needed: the labels of ``M^+`` decide everything.
     """
@@ -469,7 +493,7 @@ def process_neo_cores(
     cids = state.cids
     store = state.store
     events: list[EvolutionEvent] = []
-    plan = _scan_plan(store, index, neo_cores, eps, tau)
+    plan = _scan_plan(store, index, neo_cores, balls, eps, tau, trace)
 
     for seed, remaining in _ordered_classes(neo_cores):
         if trace is not None:

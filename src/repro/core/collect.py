@@ -25,6 +25,18 @@ closed forms of Algorithm 1's sequential per-point loop:
 * A new point's ``n_eps`` is ``1 + |live old neighbours| + |fellow
   arrivals within eps|`` — the sequential later-arrival-counts-the-pair
   rule sums to exactly this, whatever the insertion order.
+
+COLLECT also hands CLUSTER the balls it searched that CLUSTER would
+otherwise search again (:attr:`CollectResult.balls`):
+
+* an arrival's ball, searched after the arrivals went in, is its neo-core
+  scan ball: from then until the neo-core phase the index only loses
+  ``C_out``, whose rows are ``DELETED`` and drop out of every scan mask;
+* a departing ex-core's departure ball, plus the arrivals whose balls hold
+  it, is its ex-core scan ball: in between, the index loses the non-core
+  exits (``DELETED`` and not ``WAS_CORE``, so inert in every ex-core mask)
+  and gains the arrivals, and ``math.dist`` is symmetric, so an arrival
+  within eps of the departing point finds it in its own ball.
 """
 
 from __future__ import annotations
@@ -48,6 +60,9 @@ class CollectResult:
     neo_cores: list[int] = field(default_factory=list)
     c_out: list[int] = field(default_factory=list)  # ex-cores in delta_out
     deleted_ids: list[int] = field(default_factory=list)  # all of delta_out
+    # Scan balls CLUSTER need not search again, centre excluded, for every
+    # arrival and every point of c_out; the phase that reads one pops it.
+    balls: dict[int, np.ndarray] = field(default_factory=dict)
 
 
 def collect(
@@ -66,7 +81,7 @@ def collect(
     vectorized or bulk machinery amortise work across the whole stride.
     Alongside the ``n_eps`` updates of Algorithm 1, the same searches
     maintain each point's core neighbour count ``c_core`` (the border
-    bookkeeping of DESIGN.md §3.3).
+    bookkeeping of DESIGN.md §3.3), and their balls go on to CLUSTER.
     """
     store = state.store
     params = state.params
@@ -103,6 +118,7 @@ def collect(
         else:
             non_core_exits.append(pid_i)
     result.deleted_ids = out_pids
+    exits = np.asarray(result.c_out, dtype=np.int64)
     flat_q = (
         np.concatenate(occ_parts) if occ_parts else np.empty(0, dtype=np.int64)
     )
@@ -126,12 +142,9 @@ def collect(
         affected = np.unique(wc_slots)
         affected = affected[(store.flags[affected] & DELETED) == 0]
         if len(affected):
-            wc_out = np.fromiter(
-                (p for p, w in zip(out_pids, out_was_core) if w), dtype=np.int64
-            )
             # Anchor invalidation, order-free closed form: the anchor departed
             # (anchors always point at was_core points) or no core remains.
-            nulled = np.isin(store.anchor[affected], wc_out) | (
+            nulled = np.isin(store.anchor[affected], exits) | (
                 store.c_core[affected] == 0
             )
             store.anchor[affected[nulled]] = NO_ID
@@ -149,6 +162,8 @@ def collect(
     new_slots = store.bulk_insert(in_pids, in_coords, [sp.time for sp in delta_in])
     index.insert_many(list(zip(in_pids, in_coords)))
     in_balls = index.ball_many_pids(in_coords, eps) if in_pids else []
+    # (departing ex-core, arrival) pairs within eps of each other.
+    exit_hits = arrival_hits = np.empty(0, dtype=np.int64)
     if in_pids:
         n = len(in_pids)
         in_arr = np.fromiter(in_pids, dtype=np.int64, count=n)
@@ -161,6 +176,7 @@ def collect(
             others = ball[ball != in_pids[i]]
             parts.append(others)
             lens[i] = len(others)
+        result.balls = dict(zip(in_pids, parts))
         flat = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
         owners = np.repeat(np.arange(n), lens)
         is_arrival = np.isin(flat, in_arr)
@@ -176,6 +192,8 @@ def collect(
         live = (store.flags[old_slots] & DELETED) == 0
         live_slots = old_slots[live]
         live_owners = old_owners[live]
+        exit_hits = old_flat[~live]
+        arrival_hits = in_arr[old_owners[~live]]
         n_eps_new = 1 + fellows + np.bincount(live_owners, minlength=n)
         # q is a core of the previous window still present; whether it
         # survives as a core is settled by CLUSTER.
@@ -194,6 +212,8 @@ def collect(
             np.add.at(store.n_eps, live_slots, 1)
             touched.update(store.pid[live_slots].tolist())
         touched.update(in_pids)
+    if len(exits):
+        result.balls.update(_exit_balls(exits, wc_parts, exit_hits, arrival_hits))
 
     # --- classify the flips (Algorithm 1, line 13) -------------------------
     ordered = sorted(touched)
@@ -210,6 +230,38 @@ def collect(
     if trace is not None:
         trace.counters.collect_touched = len(touched)
     return result
+
+
+def _exit_balls(
+    exits: np.ndarray,
+    departure_balls: list[np.ndarray],
+    exit_hits: np.ndarray,
+    arrival_hits: np.ndarray,
+) -> dict[int, np.ndarray]:
+    """Each departing ex-core's ball as CLUSTER's ex-core phase sees it.
+
+    That is its departure ball (centre excluded; ``departure_balls`` runs
+    parallel to ``exits``) plus the arrivals paired with it in
+    ``exit_hits``/``arrival_hits`` — the lingering exits that the arrivals'
+    balls hold. Both kinds are keyed by the exit's position and grouped
+    with one stable sort, departure neighbours first.
+    """
+    if not len(exit_hits):
+        return dict(zip(exits.tolist(), departure_balls))
+    m = len(exits)
+    sorter = np.argsort(exits)
+    keys = np.concatenate(
+        (
+            np.repeat(np.arange(m), [len(ball) for ball in departure_balls]),
+            sorter[np.searchsorted(exits, exit_hits, sorter=sorter)],
+        )
+    )
+    values = np.concatenate((*departure_balls, arrival_hits))
+    values = values[np.argsort(keys, kind="stable")]
+    ends = np.cumsum(np.bincount(keys, minlength=m)).tolist()
+    return {
+        pid: values[lo:hi] for pid, lo, hi in zip(exits.tolist(), [0, *ends], ends)
+    }
 
 
 def _validate_deltas(

@@ -123,6 +123,7 @@ class DISC:
             state,
             index,
             result.ex_cores,
+            result.balls,
             multi_starter=self.multi_starter,
             epoch_probing=self.epoch_probing,
             trace=trace,
@@ -133,7 +134,9 @@ class DISC:
         # Algorithm 2, line 8: exited ex-cores leave the index only now.
         for pid in result.c_out:
             index.delete(pid)
-        neo_events = process_neo_cores(state, index, result.neo_cores, trace=trace)
+        neo_events = process_neo_cores(
+            state, index, result.neo_cores, result.balls, trace=trace
+        )
         if trace is not None:
             t3 = perf_counter()
             trace.phases.merge_checks = t3 - t2

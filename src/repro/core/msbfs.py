@@ -16,6 +16,15 @@ every expansion is a range search against the spatial index.
   straightforward IncDBSCAN-style implementation does and is the "neither /
   epoch-only" arm of the paper's Figure 8 ablation.
 
+Both run only when the seeds need them. A check first tests the seeds
+against each other: when they are live cores whose own eps-graph is
+connected, direct adjacency already proves density-connection, so the check
+answers "connected" with no tick, no range search and no expansion. This is
+the cheap, stateless form of the spanning-forest connectivity of Shin et
+al.'s dynamic DBSCAN. Otherwise the chosen strategy runs unchanged from the
+original seeds, so which split component is exhausted first — and which
+fresh cluster ids are handed out — does not depend on the certificate.
+
 Epoch-based probing (``epoch_probing=True``) is orthogonal: expansions use
 :meth:`ball_unvisited` with the current tick, so regions already covered are
 pruned inside the index. It needs visit epochs inside the index (the R-tree
@@ -32,7 +41,10 @@ from collections import deque
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.common.disjointset import DisjointSet
+from repro.common.distance import within_eps_many
 from repro.core.state import WindowState
 from repro.core.store import DELETED
 
@@ -84,12 +96,15 @@ def check_connectivity(
             invoked for every non-core point seen during expansion; DISC uses
             it to refresh border anchors (Section V).
         trace: optional :class:`~repro.observability.trace.StrideTrace`;
-            when present, expansion / queue-merge / early-exit counters are
-            accumulated onto it.
+            when present, certified-check / expansion / queue-merge /
+            early-exit counters are accumulated onto it.
 
     Returns:
         A :class:`ConnectivityResult`; traversal touches only the components
-        containing seeds and stops as early as the strategy allows.
+        containing seeds and stops as early as the strategy allows. A check
+        the seeds certify reports them as the survivor and calls no
+        ``on_border``; the borders it would have re-anchored keep their
+        anchors or wait for anchor repair.
     """
     seed_list = list(dict.fromkeys(seeds))
     if not seed_list:
@@ -98,6 +113,10 @@ def check_connectivity(
     tau = state.params.tau
     eps = state.params.eps
     store = state.store
+    if _seeds_certify(store, seed_list, eps, tau):
+        if trace is not None:
+            trace.counters.certified_checks += 1
+        return ConnectivityResult(num_components=1, survivor=seed_list)
     flags_col = store.flags
     n_eps_col = store.n_eps
     slot_of = store._slot_of
@@ -243,3 +262,27 @@ def check_connectivity(
         exhausted=[dead[root] for root in dead_order],
         survivor=survivor,
     )
+
+
+def _seeds_certify(store, seeds: list[int], eps: float, tau: int) -> bool:
+    """Whether the seeds are live cores whose own eps-graph is connected.
+
+    One :func:`within_eps_many` call over the seeds' arena coordinates gives
+    their adjacency matrix (reflexive, since every point is within eps of
+    itself); the reached set then grows one hop per round until it covers
+    every seed or stops growing.
+    """
+    slots = store.slots_of(seeds)
+    # An exited row's n_eps is zeroed (PointStore.mark_deleted) and tau >= 1,
+    # so this one test also rules out DELETED seeds.
+    if store.n_eps[slots].min() < tau:
+        return False
+    coords = store.coords[slots]
+    adjacent = within_eps_many(coords[:, None], coords[None, :], eps)
+    reached = adjacent[0]
+    while not reached.all():
+        grown = adjacent[reached].any(axis=0)
+        if np.array_equal(grown, reached):
+            return False
+        reached = grown
+    return True

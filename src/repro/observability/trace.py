@@ -55,6 +55,11 @@ class AlgorithmCounters(CounterGroup):
     msbfs_expansions: int = 0
     msbfs_queue_merges: int = 0
     msbfs_early_exits: int = 0
+    #: connectivity checks the seeds settled by their own adjacency, with no
+    #: search (counted in ``connectivity_checks`` too)
+    certified_checks: int = 0
+    #: CLUSTER scans that read a ball COLLECT had already searched
+    reused_balls: int = 0
 
 
 #: Phase keys, in pipeline order.
@@ -127,10 +132,12 @@ GROUPS = (
         label="counter",
         help="Algorithm counters (see trace schema).",
         report=lambda c, strides: (
-            f"cores: {c.ex_cores} ex, {c.neo_cores} neo; "
+            f"cores: {c.ex_cores} ex, {c.neo_cores} neo, "
+            f"{c.reused_balls} balls reused from collect; "
             f"classes: {c.retro_classes} retro, {c.nascent_classes} nascent; "
             f"theorem-1 skipped {c.theorem1_skips} checks\n"
-            f"ms-bfs: {c.connectivity_checks} checks, "
+            f"ms-bfs: {c.connectivity_checks} checks "
+            f"({c.certified_checks} certified by their seeds), "
             f"{c.msbfs_expansions} expansions, "
             f"{c.msbfs_queue_merges} queue merges, "
             f"{c.msbfs_early_exits} early exits"

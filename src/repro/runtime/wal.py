@@ -438,7 +438,13 @@ class SegmentedLog:
 
     def scan(self, from_seq: int, to_seq: int | None = None):
         """Yield ``(seq, item)`` for records with ``from_seq <= seq``
-        (``< to_seq`` when given), in sequence order."""
+        (``< to_seq`` when given), in sequence order.
+
+        A segment's records carry consecutive seqs from its ``first_seq``
+        (the recovery scan cuts a segment at any gap, and appends count
+        up), so records outside the range are stepped over by their
+        headers alone and never decoded.
+        """
         self.flush()
         for segment in list(self._segments):
             if segment.empty or segment.last_seq < from_seq:
@@ -447,14 +453,15 @@ class SegmentedLog:
                 break
             data = segment.path.read_bytes()[: segment.size]
             offset = 0
+            seq = segment.first_seq
             while offset + _HEADER.size <= len(data):
-                length, _ = _HEADER.unpack_from(data, offset)
-                body = data[offset + _HEADER.size : offset + _HEADER.size + length]
-                seq, item = self._decode_body(body)
                 if to_seq is not None and seq >= to_seq:
                     return
+                length, _ = _HEADER.unpack_from(data, offset)
                 if seq >= from_seq:
-                    yield seq, item
+                    body = data[offset + _HEADER.size : offset + _HEADER.size + length]
+                    yield self._decode_body(body)
+                seq += 1
                 offset += _HEADER.size + length
 
     def flush(self) -> None:

@@ -19,6 +19,7 @@ from repro.core.msbfs import check_connectivity
 from repro.core.state import WindowState
 from repro.core.store import WAS_CORE
 from repro.index.rtree import RTree
+from repro.observability.trace import StrideTrace
 from tests.conftest import point_field
 
 FLAG_GRID = [
@@ -184,6 +185,70 @@ class TestConnectivity:
             epoch_probing=epoch,
         )
         assert result.num_components == 1
+
+
+class TestSeedCertificate:
+    """Seeds that are eps-adjacent among themselves settle the check alone."""
+
+    @staticmethod
+    def run(points, seeds, multi_starter, epoch, eps=0.5, tau=2):
+        state, index = build_state(points, eps, tau)
+        trace = StrideTrace(0)
+        before = index.stats.range_searches
+        borders = []
+        result = check_connectivity(
+            index,
+            state,
+            seeds,
+            multi_starter=multi_starter,
+            epoch_probing=epoch,
+            on_border=lambda border, core: borders.append(border),
+            trace=trace,
+        )
+        return result, index.stats.range_searches - before, trace.counters, index
+
+    @pytest.mark.parametrize("multi_starter,epoch", FLAG_GRID)
+    def test_chained_seeds_are_certified_without_a_search(self, multi_starter, epoch):
+        # A core chain with spacing 0.3 < eps; seeds 2, 3, 4 chain directly
+        # (2~3~4), though 2 and 4 are 0.6 apart.
+        points = [(i, (0.3 * i, 0.0)) for i in range(8)]
+        result, searches, counters, index = self.run(
+            points, [4, 2, 3], multi_starter, epoch
+        )
+        assert result.connected and result.num_components == 1
+        assert result.exhausted == []
+        assert sorted(result.survivor) == [2, 3, 4]
+        assert searches == 0
+        assert counters.certified_checks == 1
+        assert counters.msbfs_expansions == 0
+        assert index._tick == 0  # no epoch was opened
+
+    @pytest.mark.parametrize("multi_starter,epoch", FLAG_GRID)
+    def test_separate_seed_groups_run_the_search(self, multi_starter, epoch):
+        # Two adjacent seed pairs, one per component, 50 apart.
+        left = [(i, (0.3 * i, 0.0)) for i in range(6)]
+        right = [(100 + i, (50.0 + 0.3 * i, 0.0)) for i in range(6)]
+        result, searches, counters, _ = self.run(
+            left + right, [0, 1, 100, 101], multi_starter, epoch
+        )
+        assert result.num_components == 2
+        assert counters.certified_checks == 0
+        assert counters.msbfs_expansions > 0
+        assert searches == counters.msbfs_expansions
+
+    @pytest.mark.parametrize("multi_starter,epoch", FLAG_GRID)
+    def test_seeds_joined_through_a_non_seed_core_run_the_search(
+        self, multi_starter, epoch
+    ):
+        # Seeds 0 and 4 are 1.2 apart; only the chain's inner cores join them.
+        points = [(i, (0.3 * i, 0.0)) for i in range(5)]
+        result, searches, counters, _ = self.run(
+            points, [0, 4], multi_starter, epoch
+        )
+        assert result.connected and result.num_components == 1
+        assert counters.certified_checks == 0
+        assert counters.msbfs_expansions > 0
+        assert searches == counters.msbfs_expansions
 
 
 class TestCollectComponent:

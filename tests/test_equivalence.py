@@ -1,7 +1,7 @@
 """The paper's central claim, end to end: DISC == DBSCAN, always.
 
 Randomized sliding-window streams are replayed into DISC (in every
-optimization configuration and on every index, epoch probing on and off),
+Figure 8 arm on every index: MS-BFS and epoch probing each on and off),
 IncDBSCAN and EXTRA-N; after every single stride all four must be
 equivalent to from-scratch DBSCAN under the contract of DESIGN.md §3.4, and
 every DISC's incremental bookkeeping must pass the invariant checker.
@@ -26,10 +26,21 @@ from tests.conftest import (
 )
 
 
-def both_epoch_arms(eps, tau, index):
-    """DISC on one index with epoch probing on and off."""
+def fig8_arms(eps, tau, index):
+    """DISC on one index in each of Figure 8's four arms: MS-BFS and epoch
+    probing, each on and off. Every arm's split checks run behind the seed
+    certificate, so the invariant checker after every stride shows that
+    anchor repair covers the border re-anchoring a certified check skips.
+    """
     return [
-        DISC(eps, tau, index=disc_index(index, eps), epoch_probing=epoch)
+        DISC(
+            eps,
+            tau,
+            index=disc_index(index, eps),
+            multi_starter=multi_starter,
+            epoch_probing=epoch,
+        )
+        for multi_starter in (True, False)
         for epoch in (True, False)
     ]
 
@@ -102,14 +113,14 @@ class TestDiscEquivalence:
         points, _ = maze_stream(600, seed=3)
         spec = WindowSpec(window=200, stride=50)
         check_stream(
-            both_epoch_arms(0.6, 4, index), SlidingDBSCAN(0.6, 4), points, spec
+            fig8_arms(0.6, 4, index), SlidingDBSCAN(0.6, 4), points, spec
         )
 
     @pytest.mark.parametrize("index", DISC_INDEXES)
     def test_churn_with_noise(self, index):
         spec = WindowSpec(window=90, stride=18)
         check_stream(
-            both_epoch_arms(0.55, 3, index),
+            fig8_arms(0.55, 3, index),
             SlidingDBSCAN(0.55, 3),
             churn_with_noise(9, 400),
             spec,
@@ -119,7 +130,7 @@ class TestDiscEquivalence:
     def test_time_based_window(self, index):
         spec = WindowSpec(window=80.0, stride=20.0)
         check_stream(
-            both_epoch_arms(0.7, 4, index),
+            fig8_arms(0.7, 4, index),
             SlidingDBSCAN(0.7, 4),
             clustered_stream(22, 240),
             spec,

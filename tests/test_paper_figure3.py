@@ -35,6 +35,8 @@ from repro.common.snapshot import Category
 from repro.core.disc import DISC
 from repro.core.events import EvolutionKind
 from repro.metrics.compare import assert_equivalent
+from repro.observability.sinks import InMemorySink
+from repro.observability.trace import Tracer
 
 EPS = 1.0
 TAU = 4
@@ -125,6 +127,28 @@ class TestFigure3Stride:
         searches = disc.stats.range_searches - before.range_searches
         return disc, summary, searches
 
+    def test_search_count_arithmetic(self):
+        """Example 2's accounting, adapted to this geometry.
+
+        COLLECT spends one search per exiting point (3). The retro phase
+        scans each ex-core exactly once (5) — the consolidation step — but
+        reads exited P2's ball from COLLECT's search instead of searching
+        again. The bonding cores A, C, E, G, H form a chain with unit
+        spacing, within eps of each other, so their check is settled by
+        their own adjacency and spends no expansion (the paper's MS-BFS
+        would spend at most five); no anchor repairs are needed. DBSCAN's
+        rule (one search per window point, Example 1) would already spend
+        14.
+        """
+        sink = InMemorySink()
+        _, _, searches = self.run_stride(tracer=Tracer(sink))
+        counters = sink.records[-1].counters
+        assert counters.reused_balls == 1
+        assert counters.certified_checks == counters.connectivity_checks == 1
+        assert 3 + 5 <= searches + counters.reused_balls <= 3 + 5 + 5
+        assert searches == 3 + 5 - 1
+        assert searches < len(POSITIONS)
+
     def test_five_ex_cores_one_class(self):
         _, summary, _ = self.run_stride()
         assert summary.num_ex_cores == 5
@@ -151,19 +175,6 @@ class TestFigure3Stride:
             assert snapshot.category_of(PIDS[name]) is Category.BORDER, name
         for name in EXPECTED_BONDING:
             assert snapshot.category_of(PIDS[name]) is Category.CORE, name
-
-    def test_search_count_arithmetic(self):
-        """Example 2's accounting, adapted to this geometry.
-
-        COLLECT spends one search per exiting point (3). The retro phase
-        spends exactly one search per ex-core (5) — the consolidation step.
-        The single MS-BFS over the five bonding cores spends at most five
-        expansions, and no anchor repairs are needed. DBSCAN's rule (one
-        search per window point, Example 1) would already spend 14.
-        """
-        _, _, searches = self.run_stride()
-        assert 3 + 5 <= searches <= 3 + 5 + 5
-        assert searches < len(POSITIONS)
 
     @pytest.mark.parametrize(
         "multi_starter,epoch", [(True, True), (True, False),

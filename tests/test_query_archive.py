@@ -138,6 +138,27 @@ class TestAsOf:
         }
         assert payload["num_clusters"] == len(core_labels)
 
+    def test_as_of_stride_decodes_only_the_replayed_records(
+        self, history, monkeypatch
+    ):
+        # Near the head, the answer is the newest snapshot plus a couple of
+        # deltas; the records before them are stepped over undecoded.
+        journal, archive, states = history
+        stride = journal.head - 2
+        base = archive.latest_at_or_before(stride)
+        assert 0 < stride - base < journal.head - 2
+        decoded = []
+        original = journal._decode_body
+
+        def counting(body):
+            decoded.append(body)
+            return original(body)
+
+        monkeypatch.setattr(journal, "_decode_body", counting)
+        payload = archive.as_of(stride=stride)
+        assert payload["num_points"] == len(states[stride])
+        assert len(decoded) == stride - base
+
     def test_as_of_time_resolves_to_stride(self, history):
         journal, archive, states = history
         records = journal.read(0)

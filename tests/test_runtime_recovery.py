@@ -212,13 +212,18 @@ class TestCorruptedCheckpoints:
 @pytest.mark.chaos
 class TestFlakyIndex:
     def test_queries_fail_after_fuse(self):
-        # The batched query layer serves a whole phase per invocation, so a
-        # single advance only issues a couple of fused calls.
-        flaky = FlakyIndex(make_index("vectorgrid", eps=EPS), fail_after=1)
+        # The batched query layer serves a whole phase per invocation, and
+        # an all-arrival stride reads its neo-core balls from COLLECT's one
+        # search. So the first advance issues one fused call, and the
+        # second burns the fuse after its departures' call, on its
+        # arrivals' call.
+        points = clustered_stream(18, 150)
+        flaky = FlakyIndex(make_index("vectorgrid", eps=EPS), fail_after=2)
         disc = DISC(EPS, TAU, index=flaky)
+        disc.advance(points[:100], ())
         with pytest.raises(IndexError_, match="chaos: index query"):
-            disc.advance(clustered_stream(18, 150), ())
-        assert flaky.queries == 2
+            disc.advance(points[100:], points[:50])
+        assert flaky.queries == 3
 
     def test_recovery_from_index_failure_via_checkpoint(self):
         """Die mid-stride on a failing index, restore, finish identically."""
@@ -234,8 +239,10 @@ class TestFlakyIndex:
         crashed_at = None
         for i, (delta_in, delta_out) in enumerate(slides):
             if i == 2:
-                # Substrate starts failing: queries die mid-stride.
-                disc.index = FlakyIndex(disc.index, fail_after=3)
+                # Substrate starts failing: queries die mid-stride. This
+                # stride issues three fused calls (departures, arrivals and
+                # the ex-core scans), so the third one fails.
+                disc.index = FlakyIndex(disc.index, fail_after=2)
                 try:
                     disc.advance(delta_in, delta_out)
                 except IndexError_:
