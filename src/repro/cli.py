@@ -768,7 +768,7 @@ def cmd_fuzz(args) -> int:
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(report.as_dict(), handle, indent=2, sort_keys=True)
-        print(f"report written to {args.json}")
+        print(f"report written to {args.json}", file=sys.stderr)
     return 0 if report.ok else EXIT_FUZZ
 
 

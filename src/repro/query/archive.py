@@ -50,14 +50,29 @@ def stride_at_time(journal: EvolutionJournal, time: float) -> int | None:
     """Newest retained stride whose closing stamp is <= ``time``.
 
     Returns ``None`` when ``time`` predates every retained record.
+
+    Stamps rise along the stride axis, and a record without one is skipped,
+    so this bisects ``[floor, head)``: each probe decodes the first stamped
+    record at or after its midpoint (one record, unless unstamped ones
+    follow it), and ``O(log n)`` probes settle the answer.
     """
     found: int | None = None
-    for record in journal.read(journal.floor):
-        stamp = record.get("time")
-        if stamp is not None and stamp <= time:
-            found = record["stride"]
-        elif stamp is not None and stamp > time:
-            break  # stamps are monotone along the stride axis
+    lo, hi = journal.floor, journal.head
+    while lo < hi:
+        mid = (lo + hi) // 2
+        stamped = next(
+            (
+                (stride, record["time"])
+                for stride, record in journal.scan(mid, hi)
+                if record.get("time") is not None
+            ),
+            None,
+        )
+        if stamped is not None and stamped[1] <= time:
+            found = stamped[0]
+            lo = found + 1
+        else:
+            hi = mid
     return found
 
 

@@ -3,11 +3,11 @@
 One store owns one directory. Each checkpoint is a single JSON file named
 ``checkpoint-<stride>.json`` whose envelope carries a format version, the
 stride offset it was taken at, and a CRC32 over the canonical encoding of
-the payload:
+the payload; the payload is written in that encoding:
 
 .. code-block:: json
 
-    {"format": 1, "stride": 42, "crc32": 3735928559, "payload": {...}}
+    {"crc32":3735928559,"format":1,"payload":{...},"stride":42}
 
 Durability discipline (the classic write-tmp-fsync-rename dance):
 
@@ -106,16 +106,17 @@ class CheckpointStore:
 
         Returns the final file path. The write is atomic: a crash at any
         moment leaves either no new file or a complete, CRC-valid one.
+
+        The payload is encoded once: the envelope, keys in sorted order, is
+        written around the canonical body the CRC covers. :meth:`load`
+        parses the file as JSON whatever its spacing.
         """
         body = canonical_json(payload)
-        envelope = {
-            "format": STORE_FORMAT,
-            "stride": int(stride),
-            "crc32": zlib.crc32(body),
-            "payload": payload,
-        }
+        data = b'{"crc32":%d,"format":%d,"payload":%s,"stride":%d}' % (
+            zlib.crc32(body), STORE_FORMAT, body, int(stride)
+        )
         final = self.directory / f"checkpoint-{stride:010d}.json"
-        write_atomic(final, json.dumps(envelope, sort_keys=True).encode("utf-8"))
+        write_atomic(final, data)
         self._rotate()
         return final
 

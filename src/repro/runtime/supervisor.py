@@ -184,21 +184,41 @@ class Supervisor:
         or more slides returns one ``(snapshot, summary)`` pair per advance.
         Periodic checkpointing happens here, after the closing strides, so
         the push path checkpoints at exactly the same boundaries as
-        :meth:`run`.
+        :meth:`run`. It runs :meth:`steps` to the end.
+        """
+        results: list[tuple[Clustering, StrideSummary]] = []
+        for step in self.steps(item):
+            if step:
+                results = step
+        return results
+
+    def steps(
+        self, item: StreamPoint | MalformedRecord
+    ) -> Iterator[list[tuple[Clustering, StrideSummary]]]:
+        """:meth:`feed` one item as a generator of steps a caller may pause
+        between.
+
+        An item that closes no stride yields nothing. One that closes a
+        stride yields twice: ``[]`` once the guard admitted it and the
+        cursor sliced it, before any stride runs; then the closed strides'
+        results, after their ``after_stride`` hooks. A due checkpoint runs
+        when the generator is resumed past that, in one piece, and ends it.
         """
         if self._cursor is None:
             raise ConfigurationError("call begin() before feed()")
         point = self.guard.admit(item)
         if point is None:
-            return []
+            return
         slides = self._cursor.feed(point)
+        if not slides:
+            return
+        yield []
         results = [self._advance(di, do) for di, do in slides]
-        if slides:
-            self._since_checkpoint += len(slides)
-            if self._since_checkpoint >= self.checkpoint_every:
-                self._checkpoint(self._cursor)
-                self._since_checkpoint = 0
-        return results
+        self._since_checkpoint += len(slides)
+        yield results
+        if self._since_checkpoint >= self.checkpoint_every:
+            self._checkpoint(self._cursor)
+            self._since_checkpoint = 0
 
     def finish(self) -> list[tuple[Clustering, StrideSummary]]:
         """Flush the trailing partial batch and take the closing checkpoint."""

@@ -94,11 +94,10 @@ async def _dispatch_op(
         items = protocol.decode_points(
             frame.get("points"), start_seq=session.received
         )
-        result = await session.offer(items)
-        # Give the writer one scheduling slot so a failure caused by this
-        # very batch (strict policy) surfaces in this response rather than
-        # the next one.
-        await asyncio.sleep(0)
+        # The writer admits the batch up to its first stride-closing row
+        # before the reply, so a failure caused by those rows (strict
+        # policy) surfaces in this response rather than the next one.
+        result = await session.ingest(items)
         session.require_healthy()
         return protocol.ok_response(op, rid, session=session.name, **result)
 

@@ -49,8 +49,8 @@ class _DurabilityHooks(RuntimeHooks):
 
     - :meth:`after_stride` publishes the stride's CDC record to the
       evolution journal (and its snapshot to the archive, on cadence)
-      *inside* ``feed`` — so by the time a checkpoint is taken, every
-      stride it covers is already journaled.
+      *inside* the supervisor's stride step — so by the time a checkpoint
+      is taken, every stride it covers is already journaled.
     - :meth:`before_checkpoint` fsyncs the journal, making the invariant
       durable: a durable checkpoint at stride S implies a durable journal
       through stride S. Recovery can therefore always resume publishing
@@ -328,6 +328,7 @@ class TenantSession:
         self.replay_offset = 0  # prefix length a resume asked us to swallow
         self._skip = 0  # replay prefix still to swallow (resume)
         self._queue: asyncio.Queue = asyncio.Queue(maxsize=config.queue_limit)
+        self._pausing = False  # the writer waits between an item's steps
         self._writer: asyncio.Task | None = None
         self._journal_prev: Clustering | None = None  # CDC delta base
         self._last_time: float | None = None  # stamp of the last fed point
@@ -486,6 +487,25 @@ class TenantSession:
             result["wal_error"] = self.wal_error
         return result
 
+    async def ingest(
+        self, items: Iterable[StreamPoint | MalformedRecord]
+    ) -> dict:
+        """:meth:`offer` a batch, then let the writer admit it up to its
+        first stride-closing row (the ``INGEST`` op).
+
+        The writer runs until it waits before a stride or runs out of
+        items, so a failure those rows cause (strict policy) is set when
+        this returns; the stride itself runs after. That takes one
+        scheduling slot, or, when the writer was waiting between the steps
+        of an earlier item, the slots that finish that item first.
+        """
+        pausing = self.ingested if self._pausing else None
+        result = await self.offer(items)
+        await asyncio.sleep(0)
+        while pausing is not None and self._pausing and self.ingested == pausing:
+            await asyncio.sleep(0)
+        return result
+
     async def drain(self, *, flush_tail: bool = False) -> dict:
         """Stop admitting, flush the queue, take the final checkpoint.
 
@@ -523,7 +543,15 @@ class TenantSession:
     # ------------------------------------------------------------- the writer
 
     async def _writer_loop(self) -> None:
-        """The single writer: dequeue, feed, publish. Nothing else mutates."""
+        """The single writer: dequeue, feed, publish. Nothing else mutates.
+
+        An item is fed through :meth:`Supervisor.steps
+        <repro.runtime.supervisor.Supervisor.steps>`, with one await after
+        each step, so a stride-closing item holds the loop one step at a
+        time: its admission (where an INGEST's scheduling slot ends), then
+        its stride with the journal record, view publish and push, then any
+        due checkpoint.
+        """
         while True:
             item = await self._queue.get()
             if item is _CLOSE:
@@ -533,24 +561,36 @@ class TenantSession:
                 # The stamp any stride this item closes is journaled under.
                 self._last_time = item.time
             try:
-                try:
-                    results = self.supervisor.feed(item)
-                except ReproError as exc:
-                    self.failed = f"{type(exc).__name__}: {exc}"
-                    self._queue.task_done()
-                    self._discard_queue()
-                    return
+                steps = self.supervisor.steps(item)
+                while True:
+                    try:
+                        results = next(steps, None)
+                    except ReproError as exc:
+                        self.failed = f"{type(exc).__name__}: {exc}"
+                        self._queue.task_done()
+                        self._discard_queue()
+                        return
+                    if results is None:
+                        break
+                    if results:
+                        # No await since the stride's journal publish, so a
+                        # SUBSCRIBE sees the record in its backlog or in its
+                        # queue, never both.
+                        self._publish(results[-1][0])
+                        if self._pending_push:
+                            # Commit-then-push: under journal_fsync=always a
+                            # record is durable before any subscriber can
+                            # observe it, so a crash can never lose an event
+                            # a client already reacted to.
+                            await self._fanout(self._take_pending())
+                    self._pausing = True
+                    try:
+                        await asyncio.sleep(0)
+                    finally:
+                        self._pausing = False
                 if self.journal is not None:
                     self.journal.append(item)
                 self.ingested += 1
-                if results:
-                    self._publish(results[-1][0])
-                if self._pending_push:
-                    # Commit-then-push: under journal_fsync=always a record
-                    # is durable before any subscriber can observe it, so a
-                    # crash can never lose an event a client already
-                    # reacted to.
-                    await self._fanout(self._take_pending())
             except Exception as exc:  # noqa: BLE001 - crash isolation
                 # Anything else, anywhere in the item's handling, is an
                 # unexpected crash: isolate the tenant and signal the
@@ -563,11 +603,6 @@ class TenantSession:
                 self.crashed.set()
                 return
             self._queue.task_done()
-            if results:
-                # A stride boundary is the natural scheduling point: let
-                # pending readers observe the freshly published view before
-                # the next batch of writes.
-                await asyncio.sleep(0)
 
     def _discard_queue(self) -> None:
         """Unblock join()/producers after a writer failure."""
@@ -597,11 +632,12 @@ class TenantSession:
         """Publish one closed stride's CDC record (supervisor hook).
 
         ``clustering`` is the stride's one snapshot, shared with its view.
-        Runs inside ``feed``/``finish`` right after the stride closed and
-        *before* any checkpoint for it can be taken, so the journal never
-        trails a durable checkpoint. Already-journaled strides (WAL-tail
-        replay after a crash) are skipped idempotently by ``publish`` —
-        the deterministic pipeline re-derives them byte-identically.
+        Runs inside the supervisor's stride step (or ``finish``) right
+        after the stride closed and *before* any checkpoint for it can be
+        taken, so the journal never trails a durable checkpoint.
+        Already-journaled strides (WAL-tail replay after a crash) are
+        skipped idempotently by ``publish`` — the deterministic pipeline
+        re-derives them byte-identically.
         Journal/archive failures degrade CDC (recorded in
         ``journal_error``) instead of failing the tenant.
         """

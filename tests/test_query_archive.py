@@ -10,6 +10,7 @@ against it — under several snapshot cadences, including none at all.
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -249,6 +250,55 @@ class TestStrideAtTimeBoundaries:
         # …but a time covered only by compacted strides predates retained
         # history now: None, never a stale (dropped) stride index.
         assert stride_at_time(journal, 15.0) is None
+
+    def test_resolution_decodes_logarithmically_many_records(
+        self, tmp_path, monkeypatch
+    ):
+        n = 400
+        journal = self.journal_with_stamps(tmp_path, [float(s) for s in range(n)])
+        decoded = []
+        original = journal._decode_body
+
+        def counting(body):
+            decoded.append(body)
+            return original(body)
+
+        monkeypatch.setattr(journal, "_decode_body", counting)
+        for time in (-1.0, 0.0, 137.5, 250.0, n - 1.0, 1e9):
+            decoded.clear()
+            expected = None if time < 0 else min(int(time), n - 1)
+            assert stride_at_time(journal, time) == expected
+            # One probe per halving of [floor, head): 9 for 400 records.
+            assert len(decoded) <= n.bit_length()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_bisection_answers_as_a_full_scan_does(self, tmp_path, seed):
+        """Rising stamps with repeats and unstamped records anywhere: every
+        probe time answers as reading the retained records in order."""
+        rng = random.Random(seed)
+        stamps, clock = [], 0.0
+        for _ in range(rng.randrange(1, 60)):
+            if rng.random() < 0.25:
+                stamps.append(None)
+            else:
+                clock += rng.choice((0.0, 1.0, 2.5))
+                stamps.append(clock)
+        journal = self.journal_with_stamps(tmp_path, stamps)
+
+        def full_scan(time):
+            found = None
+            for record in journal.read(journal.floor):
+                stamp = record.get("time")
+                if stamp is not None and stamp > time:
+                    break
+                if stamp is not None:
+                    found = record["stride"]
+            return found
+
+        probes = {-1.0, clock + 1.0} | {s for s in stamps if s is not None}
+        probes |= {s + 0.5 for s in stamps if s is not None}
+        for time in sorted(probes):
+            assert stride_at_time(journal, time) == full_scan(time), time
 
     def test_as_of_time_at_exact_and_duplicate_stamps(self, history):
         journal, archive, states = history

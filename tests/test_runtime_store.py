@@ -1,12 +1,16 @@
 """Unit tests for the durable checkpoint store (envelope, CRC, rotation)."""
 
 import json
+import zlib
 
 import pytest
 
+from repro.common.canonical import canonical_json
+from repro.common.config import WindowSpec
 from repro.core.checkpoint import CheckpointError
-from repro.runtime import CheckpointStore, corrupt_checkpoint
+from repro.runtime import CheckpointStore, Supervisor, corrupt_checkpoint
 from repro.runtime.store import STORE_FORMAT
+from tests.conftest import clustered_stream
 
 PAYLOAD = {"stride": 7, "nested": {"values": [1.5, 2.25], "name": "run"}}
 
@@ -53,6 +57,45 @@ class TestSaveLoad:
         assert len(store.checkpoints()) == 1
 
 
+class TestLayout:
+    def test_envelope_is_written_around_the_canonical_body(self, store):
+        path = store.save(7, PAYLOAD)
+        body = canonical_json(PAYLOAD)
+        assert path.read_bytes() == (
+            b'{"crc32":%d,"format":%d,"payload":%s,"stride":7}'
+            % (zlib.crc32(body), STORE_FORMAT, body)
+        )
+
+    def test_previous_layout_still_restores(self, tmp_path):
+        """A checkpoint written as ``json.dumps(envelope, sort_keys=True)``,
+        the payload encoded a second time with default spacing, resumes a
+        run that ends where an uninterrupted one does."""
+        spec = WindowSpec(window=100, stride=40)
+        points = clustered_stream(11, 260)
+        whole = list(Supervisor(0.7, 4, spec).run(points))
+
+        store = CheckpointStore(tmp_path / "ck")
+        killed = Supervisor(0.7, 4, spec, store=store, checkpoint_every=2)
+        killed.begin()
+        for item in points[:200]:
+            killed.feed(item)
+        path = store.checkpoints()[-1]
+        stride, payload = store.load(path)
+        envelope = {
+            "format": STORE_FORMAT,
+            "stride": stride,
+            "crc32": zlib.crc32(canonical_json(payload)),
+            "payload": payload,
+        }
+        path.write_bytes(json.dumps(envelope, sort_keys=True).encode("utf-8"))
+
+        resumed = Supervisor(0.7, 4, spec, store=store, checkpoint_every=2)
+        tail = list(resumed.run(points, resume=True))
+        assert resumed.stats.resumed_at_stride == stride
+        assert len(tail) == len(whole) - stride
+        assert tail[-1][0].encode() == whole[-1][0].encode()
+
+
 class TestRotation:
     def test_keeps_newest_n(self, tmp_path):
         store = CheckpointStore(tmp_path, keep=3)
@@ -75,8 +118,8 @@ class TestValidation:
         path = store.save(1, PAYLOAD)
         # Rot a digit inside the payload region so the JSON stays parseable.
         raw = path.read_text()
-        target = raw.index('"values": [1.5')
-        flipped = raw[: target + 12] + "9" + raw[target + 13 :]
+        target = raw.index('"values":[1.5')
+        flipped = raw[: target + 11] + "9" + raw[target + 12 :]
         path.write_text(flipped)
         with pytest.raises(CheckpointError, match="integrity check"):
             store.load(path)

@@ -279,7 +279,7 @@ class TestSupervision:
         def boom(item):
             raise RuntimeError("segfault du jour")
 
-        session.supervisor.feed = boom
+        session.supervisor.steps = boom
 
     @staticmethod
     async def wait_restarted(service, name, crashed, timeout=5.0):
